@@ -23,6 +23,7 @@ from .core import ConstantsConfig, RandomStream, gaussian_vector, resolve_seed, 
 from .frames import (
     Frame,
     FrameFunctionals,
+    build_frame,
     coordinate_frame,
     frame_functionals,
     haar_frame,

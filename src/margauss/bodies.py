@@ -190,12 +190,45 @@ def sample_body(
     elif spec.kind == "simplex":
         if geom is None:
             geom = regular_simplex(n)
-        weights = stream.exponential((count, n + 1))
-        weights /= weights.sum(axis=1, keepdims=True)
-        pts = geom.scale * (weights @ geom.vertices)
+        pts = geom.scale * (_simplex_weights(n, stream, count) @ geom.vertices)
     else:  # pragma: no cover - guarded by BodySpec
         raise ValueError(spec.kind)
     return SampleBatch(body=spec, points=pts, seed=stream.seed, stream_id=stream.stream_id)
+
+
+def _simplex_weights(n: int, stream: RandomStream, count: int) -> np.ndarray:
+    """Barycentric weights, (count, n+1), of `count` uniform points of the simplex.
+
+    Normalized iid exponentials are Dirichlet(1, ..., 1); the point is
+    scale * (weights @ vertices). This is the only simplex draw.
+    """
+    weights = stream.exponential((count, n + 1))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
+
+
+def simplex_vertex_coords(geom: SimplexGeometry, stream: RandomStream, count: int) -> np.ndarray:
+    """Vertex coordinates gamma_a = <v_a, x>, (count, n+1), of `count` uniform points.
+
+    Reads the same stream values as `sample_body`: with x = scale * (w @ V),
+    <v_a, v_b> = -1/n for a != b and sum_b w_b = 1, gamma = scale ((n+1)/n w - 1/n).
+    The points themselves are never formed; see `vertex_projection`.
+    """
+    n = geom.n
+    gamma = _simplex_weights(n, stream, count)
+    gamma *= geom.scale * (n + 1.0) / n
+    gamma -= geom.scale / n
+    return gamma
+
+
+def vertex_projection(gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """W_i = <theta_i, x>, (count, k), from vertex coordinates.
+
+    gamma (count, n+1) holds <v_a, x> and alpha (k, n+1) holds <theta_i, v_a>;
+    the tight frame sum_a <x, v_a> v_a = ((n+1)/n) x gives W = n/(n+1) gamma alpha^T.
+    """
+    n = gamma.shape[1] - 1
+    return (n / (n + 1.0)) * (gamma @ alpha.T)
 
 
 def _sample_lp_ball(n: int, p: float, stream: RandomStream, count: int) -> np.ndarray:

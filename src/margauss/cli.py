@@ -21,27 +21,7 @@ PAIR_TOLERANCE = 1e-10
 
 
 def _csv(values) -> str:
-    cells = []
-    for v in values:
-        if v is None:
-            cells.append("")
-        elif isinstance(v, str):
-            cells.append(v)
-        elif isinstance(v, (int, np.integer)):
-            cells.append(str(int(v)))
-        else:
-            cells.append(f"{float(v):.17g}")
-    return ",".join(cells)
-
-
-def _build_frame(kind: str, n: int, k: int, seed: int, stream_id: int = 0) -> frames.Frame:
-    if kind == "haar":
-        return frames.haar_frame(n, k, substream(resolve_seed(seed), stream_id))
-    if kind == "walsh":
-        return frames.walsh_frame(n, k)
-    if kind == "coordinate":
-        return frames.coordinate_frame(n, k)
-    raise ValueError(f"unknown frame kind {kind!r}")
+    return ",".join(harness._format_cell(v) for v in values)
 
 
 def _body_and_geom(args) -> tuple[bodies.BodySpec, bodies.SimplexGeometry | None]:
@@ -51,7 +31,7 @@ def _body_and_geom(args) -> tuple[bodies.BodySpec, bodies.SimplexGeometry | None
 
 
 def _cmd_frames(args) -> int:
-    frame = _build_frame(args.kind, args.n, args.k, args.seed)
+    frame = frames.build_frame(args.kind, args.n, args.k, substream(resolve_seed(args.seed), 0))
     fun = frames.frame_functionals(frame)
     print(_csv([frame.kind, frame.n, frame.k, fun.l4_sum, fun.l3_sum,
                 fun.simplex_quartic, fun.simplex_cubic]))
@@ -67,9 +47,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify_pair(args) -> int:
     spec, geom = _body_and_geom(args)
-    frame = _build_frame(args.frame, args.n, args.k, args.seed, stream_id=1)
+    seed = resolve_seed(args.seed)
+    frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 1))
     pair = stein.PairSpec(body=spec, frame=frame, geom=geom)
-    stream = substream(resolve_seed(args.seed), 0)
+    stream = substream(seed, 0)
     worst_lin = worst_sec = 0.0
     pts = bodies.sample_body(spec, stream, args.samples, geom=geom).points
     for x in pts:
@@ -92,7 +73,7 @@ def _bound_row(report: stein.BoundReport) -> str:
 def _cmd_bounds(args) -> int:
     constants = ConstantsConfig.from_json(args.constants) if args.constants else ConstantsConfig()
     spec, geom = _body_and_geom(args)
-    frame = _build_frame(args.frame, args.n, args.k, args.seed)
+    frame = frames.build_frame(args.frame, args.n, args.k, substream(resolve_seed(args.seed), 0))
     print(_bound_row(stein.theorem_bounds(frame, geom, constants)))
     if spec.kind == "simplex" and args.k == 1:
         print(_bound_row(stein.theorem_bounds(frame, geom, constants, theorem="thm3")))
@@ -110,9 +91,8 @@ def _cmd_smoothing(args) -> int:
 def _cmd_distance(args) -> int:
     spec, geom = _body_and_geom(args)
     seed = resolve_seed(args.seed)
-    frame = _build_frame(args.frame, args.n, args.k, seed)
-    batch = bodies.sample_body(spec, substream(seed, 0), args.samples, geom=geom)
-    w = frames.project(frame, batch.points)
+    frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 0))
+    w = harness.projection_sampler(spec, frame, geom)(substream(seed, 0), args.samples)
     if args.metric == "w1":
         if args.k == 1:
             est = metrics.w1_1d(w[:, 0])
@@ -215,7 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:  # a malformed MG_SEED is a usage error, reported before any work
+        resolve_seed(0)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

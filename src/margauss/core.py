@@ -24,7 +24,10 @@ def resolve_seed(seed: int) -> int:
     raw = os.environ.get(ENV_SEED)
     if raw is None:
         return int(seed)
-    return int(raw, 10)
+    try:
+        return int(raw, 10)
+    except ValueError:
+        raise ValueError(f"{ENV_SEED} must be a decimal integer, got {raw!r}") from None
 
 
 def resolve_seeds(seeds) -> tuple[int, ...]:

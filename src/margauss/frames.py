@@ -141,6 +141,17 @@ def _modified_gram_schmidt(g: np.ndarray) -> np.ndarray | None:
     return q
 
 
+def build_frame(kind: str, n: int, k: int, stream: RandomStream) -> Frame:
+    """The named frame kind; only 'haar' draws from `stream`."""
+    if kind == "walsh":
+        return walsh_frame(n, k)
+    if kind == "haar":
+        return haar_frame(n, k, stream)
+    if kind == "coordinate":
+        return coordinate_frame(n, k)
+    raise ValueError(f"unknown frame kind {kind!r}")
+
+
 def project(frame: Frame, x: np.ndarray) -> np.ndarray:
     """W_i = <x, theta_i>. Accepts a single point (n,) or a batch (N, n)."""
     x = np.asarray(x, dtype=np.float64)

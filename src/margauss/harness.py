@@ -3,7 +3,8 @@
 A sweep enumerates (body, n, k, frame, seed) combinations in sorted order,
 computes closed-form and semi-empirical bounds next to empirical distances,
 and emits a deterministic CSV: identical config and seeds give byte-identical
-files. Invalid combinations are skipped with a logged reason, never silently.
+files. Invalid combinations, and rows whose computation raises a ValueError,
+are skipped with a logged reason, never silently.
 """
 
 from __future__ import annotations
@@ -13,21 +14,21 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import BodySpec, SimplexGeometry, parse_body_kind, regular_simplex, sample_body
-from .core import ConstantsConfig, RandomStream, substream
-from .frames import (
-    Frame,
-    coordinate_frame,
-    frame_functionals,
-    haar_frame,
-    largest_power_of_two,
-    project,
-    walsh_frame,
+from .bodies import (
+    BodySpec,
+    SimplexGeometry,
+    parse_body_kind,
+    regular_simplex,
+    sample_body,
+    simplex_vertex_coords,
+    vertex_projection,
 )
+from .core import ConstantsConfig, RandomStream, substream
+from .frames import Frame, build_frame, frame_functionals, largest_power_of_two, project
 from .metrics import ks_1d, tv_hist_1d, w1_1d, w1_sliced
 from .stein import (
     _CHUNK_BUDGET,
@@ -111,16 +112,6 @@ class ResultRow:
     runtime_ms: Optional[float]
 
 
-def _build_frame(kind: str, n: int, k: int, stream) -> Frame:
-    if kind == "walsh":
-        return walsh_frame(n, k)
-    if kind == "haar":
-        return haar_frame(n, k, stream)
-    if kind == "coordinate":
-        return coordinate_frame(n, k)
-    raise ValueError(f"unknown frame kind {kind!r}")
-
-
 def _validate_combo(body: str, n: int, k: int, frame_kind: str) -> Optional[str]:
     """Return a skip reason for an invalid combination, or None."""
     try:
@@ -159,7 +150,14 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
             )
             continue
         started = time.perf_counter() if measure_runtime else None
-        row = _compute_row(config, idx, body_kind, n, k, frame_kind, seed)
+        try:
+            row = _compute_row(config, idx, body_kind, n, k, frame_kind, seed)
+        except ValueError as exc:
+            logger.warning(
+                "skipping row body=%s n=%d k=%d frame=%s seed=%d: %s",
+                body_kind, n, k, frame_kind, seed, exc,
+            )
+            continue
         if started is not None:
             row = replace(row, runtime_ms=1000.0 * (time.perf_counter() - started))
         rows.append(row)
@@ -185,7 +183,7 @@ def _compute_row(
 ) -> ResultRow:
     body = parse_body_kind(body_kind, n)
     geom = regular_simplex(n) if body.kind == "simplex" else None
-    frame = _build_frame(frame_kind, n, k, substream(seed, 4 * idx))
+    frame = build_frame(frame_kind, n, k, substream(seed, 4 * idx))
     fun = frame_functionals(frame, geom)
     thm = theorem_bounds(frame, geom, config.constants)
     n_samples = _row_samples(config, n, body_kind)
@@ -256,11 +254,28 @@ def _projected_sample(
     instead of the O(count * n) of one full draw.
     """
     chunk = max(1, _CHUNK_BUDGET // body.n)
+    draw = projection_sampler(body, frame, geom)
     w = np.empty((count, frame.k))
     for start in range(0, count, chunk):
         c = min(chunk, count - start)
-        w[start : start + c] = project(frame, sample_body(body, stream, c, geom=geom).points)
+        w[start : start + c] = draw(stream, c)
     return w
+
+
+def projection_sampler(
+    body: BodySpec, frame: Frame, geom: Optional[SimplexGeometry]
+) -> Callable[[RandomStream, int], np.ndarray]:
+    """Return draw(stream, count), the (count, k) projection of `count` body draws.
+
+    The simplex skips the points: alpha = theta V^T is formed once, and each
+    draw projects the vertex coordinates of the same stream values as `sample_body`.
+    """
+    if geom is None:
+        return lambda stream, count: project(frame, sample_body(body, stream, count).points)
+    alpha = frame.rows @ geom.vertices.T
+    return lambda stream, count: vertex_projection(
+        simplex_vertex_coords(geom, stream, count), alpha
+    )
 
 
 @dataclass(frozen=True)

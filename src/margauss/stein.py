@@ -10,6 +10,16 @@ Two couplings are implemented for a marginal W = (theta_i . X)_i:
 Both satisfy the linearity condition E[W' - W | X] = -lambda W exactly with
 lambda = 2/n, with conditional second moments 2 lambda delta_ij + E_ij(X) in
 closed form. The size of E_ij and of E|W' - W|^3 drives every bound.
+
+The simplex is evaluated in vertex coordinates, never by listing its
+n(n+1)/2 edges u_ab = c (v_a - v_b), c^2 = n/(2(n+1)). With gamma_a = <v_a, x>,
+alpha_ia = <theta_i, v_a> and r = ((n+1)/n)^2, the identities sum_a gamma_a = 0,
+sum_a alpha_ia = 0 and the tight frame sum_a <y, v_a> v_a = ((n+1)/n) y give
+
+    sum_{a<b} <theta_i, u_ab><theta_j, u_ab> (u_ab . x)^2
+        = (c^4/2) [2(n+1) sum_a alpha_ia alpha_ja gamma_a^2 + 2r delta_ij |x|^2 + 4r W_i W_j],
+
+so E_ij costs O(n k^2) per point instead of O(n^2 k).
 """
 
 from __future__ import annotations
@@ -20,7 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import BodySpec, SimplexGeometry, regular_simplex, sample_body
+from .bodies import (
+    BodySpec,
+    SimplexGeometry,
+    regular_simplex,
+    sample_body,
+    simplex_vertex_coords,
+    vertex_projection,
+)
 from .core import ConstantsConfig, RandomStream, batch_mean_se, batch_var_se
 from .frames import Frame, frame_functionals, project
 
@@ -105,7 +122,9 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
 
     Averages the increment (and its outer square) exactly over all n
     reflection indices, or all ordered vertex transpositions, and compares
-    against -lambda W and 2 lambda I + E_ij(x) from the closed forms.
+    against -lambda W and 2 lambda I + E_ij(x) from the closed forms. The
+    transpositions are enumerated in vertex coordinates; the simplex closed
+    form is the edge-sum identity of the module docstring.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = spec.frame.rows
@@ -114,13 +133,25 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     w = project(spec.frame, x)
     eye = np.eye(k)
     if spec.body.kind == "simplex":
-        _, _, u = spec.geom.unordered_edge_matrix()
-        b = u @ x  # x^{ij} over unordered pairs
-        t = rows @ u.T  # (k, pairs)
-        # Both orderings of a pair give the same increment, hence the 2x.
-        lin_enum = -4.0 / (n * (n + 1)) * (t @ b)
-        sec_enum = 8.0 / (n * (n + 1)) * ((t * b**2) @ t.T)
-        e_closed = (4.0 / n) * ((2.0 / (n + 1)) * ((t * b**2) @ t.T) - eye)
+        v = spec.geom.vertices
+        gamma = v @ x
+        alpha = rows @ v.T
+        c2 = n / (2.0 * (n + 1.0))
+        # u_ab . x = c dg[a, b] and <theta_i, u_ab> = c da[i, a, b]; a = b adds 0.
+        # Blocks of vertices a keep da, (k, block * (n+1)), within the budget.
+        lin_sum = np.zeros(k)
+        sec_sum = np.zeros((k, k))
+        block = max(1, _CHUNK_BUDGET // (k * (n + 1)))
+        for lo in range(0, n + 1, block):
+            dg = (gamma[lo : lo + block, None] - gamma[None, :]).ravel()
+            da = (alpha[:, lo : lo + block, None] - alpha[:, None, :]).reshape(k, -1)
+            lin_sum += da @ dg
+            sec_sum += (da * dg**2) @ da.T
+        ordered = n * (n + 1.0)
+        lin_enum = -2.0 * c2 * lin_sum / ordered
+        sec_enum = 4.0 * c2**2 * sec_sum / ordered
+        s = _edge_sums(gamma[None, :], alpha, np.array([x @ x]), w[None, :])
+        e_closed = (4.0 / n) * (s.reshape(k, k) / (n + 1) - eye)
     else:
         d = -2.0 * rows * x[None, :]  # increment for each reflection index
         lin_enum = d.mean(axis=1)
@@ -129,6 +160,35 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     lin_res = float(np.max(np.abs(lin_enum + lam * w)))
     sec_res = float(np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed))))
     return ConditionalResiduals(linearity_residual=lin_res, second_moment_residual=sec_res)
+
+
+def _edge_sums(
+    gamma: np.ndarray, alpha: np.ndarray, norm2: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Ordered-transposition sums sum_{a != b} <theta_i, u_ab><theta_j, u_ab> (u_ab . x)^2.
+
+    gamma (c, n+1) holds <v_a, x> for c points, alpha (k, n+1) holds
+    <theta_i, v_a>, norm2 (c,) is |x|^2 and w (c, k) is W. Returns (c, k*k),
+    twice the unordered sum of the module docstring's identity.
+    """
+    k, m = alpha.shape
+    n = m - 1
+    c4 = (n / (2.0 * m)) ** 2
+    r = (m / n) ** 2
+    products = (alpha[:, None, :] * alpha[None, :, :]).reshape(k * k, m)
+    return c4 * (
+        2.0 * m * ((gamma**2) @ products.T)
+        + 2.0 * r * norm2[:, None] * np.eye(k).ravel()
+        + 4.0 * r * (w[:, :, None] * w[:, None, :]).reshape(-1, k * k)
+    )
+
+
+def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map linear indices of np.triu_indices(m, k=1) to their vertex pairs (a, b)."""
+    a = np.arange(m - 1)
+    starts = a * m - a * (a + 1) // 2  # linear index of the pair (a, a + 1)
+    row = np.searchsorted(starts, index, side="right") - 1
+    return row, index - starts[row] + row + 1
 
 
 @dataclass(frozen=True)
@@ -155,7 +215,15 @@ class PairStatistics:
 
 
 def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> PairStatistics:
-    """Estimate the pair terms from `count` body samples on one stream."""
+    """Estimate the pair terms from `count` body samples on one stream.
+
+    The simplex is evaluated in vertex coordinates: Dirichlet weights w give
+    gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij comes from the edge-sum
+    identity of the module docstring, and the sampled edge (a, b) of the cube
+    term has u_ab . x = c (gamma_a - gamma_b) and <theta_i, u_ab> =
+    c (alpha_ia - alpha_ib). Neither the points nor the edges are formed, so
+    a draw costs O(n k^2) instead of O(n^2 k).
+    """
     if count < 10_000:
         raise ValueError(f"need count >= 10^4, got {count}")
     rows = spec.frame.rows
@@ -165,11 +233,9 @@ def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> Pai
 
     simplex = spec.body.kind == "simplex"
     if simplex:
-        _, _, u = spec.geom.unordered_edge_matrix()
-        t = rows @ u.T  # (k, pairs)
-        pair_products = (t[:, None, :] * t[None, :, :]).reshape(k * k, -1)
-        pair_norm3 = np.sqrt(np.sum(t**2, axis=0)) ** 3
-        width = u.shape[0]
+        alpha = rows @ spec.geom.vertices.T  # (k, n+1)
+        edge_coef = math.sqrt(n / (2.0 * (n + 1.0)))
+        width = max(n + 1, k * k)  # gamma and the (c, k*k) edge-sum temporaries
     else:
         coord_products = (rows[:, None, :] * rows[None, :, :]).reshape(k * k, n)
         coord_norm3 = np.sqrt(np.sum(rows**2, axis=0)) ** 3
@@ -179,22 +245,26 @@ def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> Pai
     cubes = np.empty(count)
     cond_second = np.empty(count) if k == 1 else None
 
-    chunk = max(256, _CHUNK_BUDGET // max(width, n))
+    chunk = max(256, _CHUNK_BUDGET // width)
     done = 0
     while done < count:
         c = min(chunk, count - done)
-        pts = sample_body(spec.body, stream, c, geom=spec.geom).points
         if simplex:
-            sq = (pts @ u.T) ** 2
-            s = 2.0 * (sq @ pair_products.T)  # (c, k*k), ordered-pair sums
+            gamma = simplex_vertex_coords(spec.geom, stream, c)
+            w = vertex_projection(gamma, alpha)
+            norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", gamma, gamma)
+            s = _edge_sums(gamma, alpha, norm2, w)  # (c, k*k), ordered-pair sums
             e = (4.0 / n) * (s / (n + 1.0) - eye_flat)
-            idx = stream.integers(0, sq.shape[1], c)
+            a, b = _edge_vertices(stream.integers(0, n * (n + 1) // 2, c), n + 1)
+            edge_x = edge_coef * (gamma[np.arange(c), a] - gamma[np.arange(c), b])
+            edge_t = edge_coef * (alpha[:, a] - alpha[:, b])  # (k, c)
             cubes[done : done + c] = (
-                8.0 * np.abs(sq[np.arange(c), idx]) ** 1.5 * pair_norm3[idx]
+                8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
             )
             if cond_second is not None:
                 cond_second[done : done + c] = (4.0 / (n * (n + 1.0))) * s[:, 0]
         else:
+            pts = sample_body(spec.body, stream, c).points
             sq = pts**2
             s = sq @ coord_products.T
             e = (4.0 / n) * (s - eye_flat)

@@ -1,9 +1,15 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import margauss
 from margauss.cli import main
 from margauss.harness import read_result_csv
 
@@ -144,3 +150,87 @@ def test_distance_rejects_multidimensional_ks(capsys):
     with pytest.raises(SystemExit):
         main(["distance", "--metric", "ks", "--body", "product-gaussian", "--n", "8",
               "--k", "2", "--frame", "walsh", "--samples", "500", "--seed", "1"])
+
+
+def test_env_seed_must_be_decimal(capsys, monkeypatch):
+    monkeypatch.setenv("MG_SEED", "0x1f")
+    with pytest.raises(SystemExit) as exc:
+        main(["frames", "--kind", "haar", "--n", "8", "--k", "2"])
+    assert exc.value.code == 2
+    assert "MG_SEED must be a decimal integer, got '0x1f'" in capsys.readouterr().err
+
+
+def test_experiment_skips_failing_rows(tmp_path, capsys, caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-uniform"], "ns": [16, 64], "ks": [1],
+        "frames": ["walsh"], "samples": 50, "seeds": [2], "metrics": ["w1"],
+    }))
+    out = tmp_path / "rows.csv"
+    with caplog.at_level(logging.WARNING):
+        code, _ = run_cli(capsys, "experiment", "--config", str(config), "--out", str(out))
+    assert code == 0
+    assert read_result_csv(out) == []
+    skips = [rec.getMessage() for rec in caplog.records
+             if rec.getMessage().startswith("skipping row")]
+    assert skips == [
+        f"skipping row body=product-uniform n={n} k=1 frame=walsh seed=2: "
+        "need at least 100 samples, got 50"
+        for n in (16, 64)
+    ]
+
+
+def run_under_address_limit(code: str, limit_gb: float) -> subprocess.CompletedProcess:
+    """Run `code` in a child Python with RLIMIT_AS = limit_gb GiB and one BLAS thread."""
+    child = (
+        "import resource, sys\n"
+        f"limit = int({limit_gb} * 2**30)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from margauss.cli import main\n"
+    ) + code
+    src = str(Path(margauss.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "MG_SEED"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=600)
+
+
+def test_simplex_n1024_within_address_space_limit(tmp_path):
+    # Listing the n(n+1)/2 simplex edges at n = 1024 needs a 4 GiB array; the
+    # vertex-coordinate path must run a sweep row and verify pair in 2.5 GB.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["simplex"], "ns": [1024], "ks": [3], "frames": ["haar"],
+        "samples": 10_000, "seeds": [1], "metrics": ["w1"],
+    }))
+    out = tmp_path / "rows.csv"
+    result = run_under_address_limit(
+        f"assert main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+        "sys.exit(main(['verify', 'pair', '--body', 'simplex', '--n', '1024', '--k', '3',\n"
+        "               '--frame', 'haar', '--samples', '5', '--seed', '1']))\n",
+        2.5,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "PASS" in result.stdout
+    rows = read_result_csv(out)
+    assert len(rows) == 1 and rows[0].N == 10_000 and rows[0].bound_d1_cor is not None
+
+
+def test_simplex_wide_frame_pair_terms_within_address_space_limit(tmp_path):
+    # At k = n = 16 the per-draw edge sums, (k*k) = 256 wide, outgrow gamma
+    # (n + 1 = 17 wide); a chunk sized by n + 1 alone needs about 600 MiB per
+    # temporary at N = 3e5 and fails in 1.5 GB. The row needs about 650 MB.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["simplex"], "ns": [16], "ks": [16], "frames": ["haar"],
+        "samples": 300_000, "seeds": [1], "metrics": [],
+    }))
+    out = tmp_path / "rows.csv"
+    result = run_under_address_limit(
+        f"sys.exit(main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]))\n",
+        1.5,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    rows = read_result_csv(out)
+    assert len(rows) == 1 and rows[0].bound_d1_cor is not None

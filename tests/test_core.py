@@ -112,3 +112,9 @@ def test_batch_helpers():
     assert abs(var - 1.0) < 3 * var_se + 0.05
     with pytest.raises(ValueError):
         batch_mean_se(np.arange(5))
+
+
+def test_resolve_seed_rejects_non_decimal_env(monkeypatch):
+    monkeypatch.setenv("MG_SEED", "0x1f")
+    with pytest.raises(ValueError, match=r"MG_SEED.*'0x1f'"):
+        resolve_seed(42)

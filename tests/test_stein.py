@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from margauss import harness, stein
 from margauss.bodies import BodySpec, regular_simplex, sample_body
 from margauss.core import ConstantsConfig, substream
 from margauss.frames import (
@@ -11,6 +12,7 @@ from margauss.frames import (
     coordinate_frame,
     frame_functionals,
     haar_frame,
+    project,
     walsh_frame,
 )
 from margauss.stein import (
@@ -23,6 +25,8 @@ from margauss.stein import (
     reflect_pair,
     theorem_bounds,
     transpose_pair,
+    _edge_sums,
+    _edge_vertices,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -121,6 +125,16 @@ def test_pair_spec_validation():
 def test_conditional_checks_exact(kind, n, k):
     spec = make_spec(kind, n, k, seed=n * 7 + k)
     pts = sample_body(spec.body, substream(43, n + k), 25, geom=spec.geom).points
+    for x in pts:
+        res = conditional_checks(x, spec)
+        assert res.linearity_residual < RESIDUAL_TOL
+        assert res.second_moment_residual < RESIDUAL_TOL
+
+
+def test_simplex_checks_enumerate_in_vertex_blocks(monkeypatch):
+    spec = make_spec("simplex", 16, 3, seed=9)
+    pts = sample_body(spec.body, substream(44, 16), 5, geom=spec.geom).points
+    monkeypatch.setattr(stein, "_CHUNK_BUDGET", 3 * 17 * 4)  # 4 vertices a block: 5 blocks
     for x in pts:
         res = conditional_checks(x, spec)
         assert res.linearity_residual < RESIDUAL_TOL
@@ -286,3 +300,74 @@ def test_bound_report_validation():
     with pytest.raises(ValueError):
         BoundReport(source="thm1", d1_bound=-1.0)
     assert BoundReport(source="prop-stein").source == "prop-stein"
+
+
+def edge_reference(spec, stream, count):
+    """term_E, term_M3 and condvar_proxy by enumerating every edge u_ab (one chunk)."""
+    n, k = spec.n, spec.k
+    _, _, u = spec.geom.unordered_edge_matrix()
+    t = spec.frame.rows @ u.T
+    pts = sample_body(spec.body, stream, count, geom=spec.geom).points
+    sq = (pts @ u.T) ** 2
+    s = 2.0 * np.einsum("cp,ip,jp->cij", sq, t, t).reshape(count, k * k)
+    e = (4.0 / n) * (s / (n + 1.0) - np.eye(k).ravel())
+    idx = stream.integers(0, u.shape[0], count)
+    cubes = 8.0 * sq[np.arange(count), idx] ** 1.5 * np.sqrt(np.sum(t**2, axis=0))[idx] ** 3
+    cond = (4.0 / (n * (n + 1.0))) * s[:, 0] if k == 1 else None
+    frob = np.sqrt(np.sum(e**2, axis=1))
+    return frob, cubes, cond
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in (2, 3, 7, 16, 64) for k in (1, 2, 3) if k <= n]
+)
+def test_vertex_coordinate_edge_sums_match_enumeration(n, k):
+    geom = regular_simplex(n)
+    rows = haar_frame(n, k, substream(51, n + k)).rows
+    i_idx, j_idx, u = geom.unordered_edge_matrix()
+    t = rows @ u.T
+    x = substream(52, n + k).normal((20, n)) * 3.0
+    gamma = x @ geom.vertices.T
+    alpha = rows @ geom.vertices.T
+    enum = 2.0 * np.einsum("cp,ip,jp->cij", (x @ u.T) ** 2, t, t).reshape(20, k * k)
+    closed = _edge_sums(gamma, alpha, np.sum(x**2, axis=1), x @ rows.T)
+    assert np.max(np.abs(closed - enum)) <= 1e-12 * np.max(np.abs(enum))
+
+    index = substream(53, n + k).integers(0, len(i_idx), 200)
+    a, b = _edge_vertices(index, n + 1)
+    assert np.array_equal(a, i_idx[index]) and np.array_equal(b, j_idx[index])
+    c = math.sqrt(n / (2.0 * (n + 1)))
+    point = np.arange(200) % 20
+    cube_vertex = (
+        np.abs(c * (gamma[point, a] - gamma[point, b])) ** 3
+        * np.sqrt(np.sum((c * (alpha[:, a] - alpha[:, b])) ** 2, axis=0)) ** 3
+    )
+    cube_edges = np.abs(np.sum(x[point] * u[index], axis=1)) ** 3 * np.sqrt(
+        np.sum(t[:, index] ** 2, axis=0)
+    ) ** 3
+    assert np.max(np.abs(cube_vertex - cube_edges)) <= 1e-12 * np.max(cube_edges)
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (16, 3), (64, 2)])
+def test_simplex_pair_terms_match_edge_enumeration(n, k):
+    spec = make_spec("simplex", n, k, seed=n + 3 * k)
+    count = 10_000  # one chunk, so both sides read the stream in the same order
+    stats = estimate_pair_terms(spec, count, substream(54, n + k))
+    frob, cubes, cond = edge_reference(spec, substream(54, n + k), count)
+    lam = spec.lam
+    assert stats.term_E == pytest.approx(frob.mean() / lam, rel=1e-12)
+    assert stats.term_M3 == pytest.approx(cubes.mean(), rel=1e-12)
+    if k == 1:
+        batch_vars = cond.reshape(20, -1).var(axis=1, ddof=1)  # as in batch_var_se
+        assert stats.condvar_proxy == pytest.approx(batch_vars.mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(16, 1), (300, 3)])
+def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 1_700 * n)  # three chunks
+    geom = regular_simplex(n)
+    body = BodySpec("simplex", n)
+    frame = haar_frame(n, k, substream(55, n))
+    w = harness._projected_sample(body, frame, geom, substream(56, n), 5_000)
+    pts = sample_body(body, substream(56, n), 5_000, geom=geom).points
+    assert np.max(np.abs(w - project(frame, pts))) <= 1e-12
