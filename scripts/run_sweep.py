@@ -5,8 +5,9 @@ default N = 10^5 that floor (~4e-3) masks the true decay of the projected
 uniform body, which is O(1/n) (slope -1) because the summands are symmetric.
 At N = 2e6 the floor is 9.1e-4: it clears the points at n = 16 and 64 but
 still flattens those at n >= 256, so the fit gives a slope near -0.4, faster
-than n^{-1/4} but not the true rate. The metrics sample is drawn in row
-chunks, so that run needs only a few hundred MB.
+than n^{-1/4} but not the true rate. Each row is one chunked sampling pass
+whose draws serve both the metrics and the pair terms, so that run needs
+only a few hundred MB.
 """
 
 import argparse

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.stats import chi2
 
@@ -154,8 +155,8 @@ def ledoux_check(f: Density1D, t: float) -> DerivativeSmoothingResult:
 def gaussian_tv_exact(s1: float, s2: float, dim: int) -> float:
     """Exact L1 distance between centered isotropic Gaussians of scales s1, s2.
 
-    The densities cross on a single sphere; the distance reduces to a
-    difference of chi-square tail probabilities at the crossing radius.
+    The densities cross on a single sphere; the distance reduces to the
+    chi-square mass between the crossing radius in units of either scale.
     """
     if not (s1 > 0 and s2 > 0):
         raise ValueError("scales must be positive")
@@ -166,4 +167,10 @@ def gaussian_tv_exact(s1: float, s2: float, dim: int) -> float:
     lo, hi = sorted((s1, s2))
     # (2 pi a^2)^(-n/2) exp(-r^2/2a^2) matches for both scales at r*.
     r2 = 2.0 * dim * math.log(hi / lo) * (lo * lo * hi * hi) / (hi * hi - lo * lo)
-    return float(2.0 * (chi2.cdf(r2 / lo**2, dim) - chi2.cdf(r2 / hi**2, dim)))
+    upper, lower = r2 / lo**2, r2 / hi**2
+    if upper < 1.5 * lower:
+        # Close scales: the two cdf values cancel, so integrate the density instead.
+        mass = quad(chi2.pdf, lower, upper, args=(dim,), epsabs=0.0, epsrel=1e-10)[0]
+    else:
+        mass = chi2.cdf(upper, dim) - chi2.cdf(lower, dim)
+    return float(2.0 * mass)

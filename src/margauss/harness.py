@@ -18,25 +18,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import (
-    BodySpec,
-    SimplexGeometry,
-    parse_body_kind,
-    regular_simplex,
-    sample_body,
-    simplex_vertex_coords,
-    vertex_projection,
-)
+from .bodies import BodySpec, SimplexGeometry, parse_body_kind, regular_simplex
 from .core import ConstantsConfig, RandomStream, substream
-from .frames import Frame, build_frame, frame_functionals, largest_power_of_two, project
+from .frames import Frame, build_frame, frame_functionals, largest_power_of_two
 from .metrics import ks_1d, tv_hist_1d, w1_1d, w1_sliced
-from .stein import (
-    _CHUNK_BUDGET,
-    PairSpec,
-    corollary_bounds,
-    estimate_pair_terms,
-    theorem_bounds,
-)
+from .stein import PairSpec, corollary_bounds, row_pass, theorem_bounds
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +35,11 @@ METRIC_CHOICES = ("w1", "ks", "tv")
 
 SLICED_DIRECTIONS = 64
 
-# Rough element throughput used only for the optional runtime cap.
-_ELEMENTS_PER_SECOND = 5.0e7
+# Body elements (N * n per row) a row processes per second, used only for the
+# optional runtime cap. Measured on the product-uniform Walsh sweep (k = 1,
+# n = 16..1024, N = 1.5e5, metric w1): 2.04e8 elements in 2.9 to 3.1 s on a
+# 2-core x86-64 machine with one BLAS thread.
+_ELEMENTS_PER_SECOND = 7.0e7
 
 
 @dataclass(frozen=True)
@@ -188,21 +177,22 @@ def _compute_row(
     thm = theorem_bounds(frame, geom, config.constants)
     n_samples = _row_samples(config, n, body_kind)
 
-    bound_d1_cor = bound_dtv_cor = None
-    if n_samples >= 10_000:
-        spec = PairSpec(body=body, frame=frame, geom=geom)
-        stats = estimate_pair_terms(spec, n_samples, substream(seed, 4 * idx + 2))
-        cor = corollary_bounds(stats, k, spec.lam, config.constants)
-        bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
-    else:
+    pair_terms = n_samples >= 10_000
+    if not pair_terms:
         logger.warning(
             "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
             body_kind, n, k, n_samples,
         )
+    bound_d1_cor = bound_dtv_cor = None
+    if pair_terms or config.metrics:
+        spec = PairSpec(body=body, frame=frame, geom=geom)
+        w, stats = row_pass(spec, n_samples, substream(seed, 4 * idx + 2), pair_terms)
+    if pair_terms:
+        cor = corollary_bounds(stats, k, spec.lam, config.constants)
+        bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
 
     emp_w1 = emp_w1_se = emp_ks = emp_tv = None
     if config.metrics:
-        w = _projected_sample(body, frame, geom, substream(seed, 4 * idx + 1), n_samples)
         if "w1" in config.metrics:
             if k == 1:
                 est = w1_1d(w[:, 0])
@@ -241,41 +231,16 @@ def _compute_row(
     )
 
 
-def _projected_sample(
-    body: BodySpec,
-    frame: Frame,
-    geom: Optional[SimplexGeometry],
-    stream: RandomStream,
-    count: int,
-) -> np.ndarray:
-    """W = project(frame, X) for `count` body draws, sampled in row chunks.
-
-    Only the (count, k) projection is kept, so memory is O(chunk * n + count * k)
-    instead of the O(count * n) of one full draw.
-    """
-    chunk = max(1, _CHUNK_BUDGET // body.n)
-    draw = projection_sampler(body, frame, geom)
-    w = np.empty((count, frame.k))
-    for start in range(0, count, chunk):
-        c = min(chunk, count - start)
-        w[start : start + c] = draw(stream, c)
-    return w
-
-
 def projection_sampler(
     body: BodySpec, frame: Frame, geom: Optional[SimplexGeometry]
 ) -> Callable[[RandomStream, int], np.ndarray]:
     """Return draw(stream, count), the (count, k) projection of `count` body draws.
 
-    The simplex skips the points: alpha = theta V^T is formed once, and each
-    draw projects the vertex coordinates of the same stream values as `sample_body`.
+    The draws go through the row pass without its pair terms, so they are
+    taken in chunks and memory stays O(chunk * n + count * k).
     """
-    if geom is None:
-        return lambda stream, count: project(frame, sample_body(body, stream, count).points)
-    alpha = frame.rows @ geom.vertices.T
-    return lambda stream, count: vertex_projection(
-        simplex_vertex_coords(geom, stream, count), alpha
-    )
+    spec = PairSpec(body=body, frame=frame, geom=geom)
+    return lambda stream, count: row_pass(spec, count, stream, pair_terms=False)[0]
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ BOUND_SOURCES = (
     "cor-wass-tv",
     "cor-tv-univ",
     "prop-cm-d2",
-    "prop-stein",
 )
 
 # Sample-chunk element budget for the closed-form estimators (memory guard).
@@ -214,8 +213,15 @@ class PairStatistics:
     lam: float
 
 
-def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> PairStatistics:
-    """Estimate the pair terms from `count` body samples on one stream.
+def row_pass(
+    spec: PairSpec, count: int, stream: RandomStream, pair_terms: bool = True
+) -> tuple[np.ndarray, Optional[PairStatistics]]:
+    """One chunked pass over `count` body draws: W (count, k) and, optionally, the pair terms.
+
+    Each chunk projects its points into W and, with `pair_terms`, then draws
+    one symmetry index per point and feeds the pair-term accumulators, so the
+    empirical distances and the semi-empirical bounds share every draw.
+    Memory is O(chunk * n + count * k).
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij comes from the edge-sum
@@ -224,7 +230,7 @@ def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> Pai
     c (alpha_ia - alpha_ib). Neither the points nor the edges are formed, so
     a draw costs O(n k^2) instead of O(n^2 k).
     """
-    if count < 10_000:
+    if pair_terms and count < 10_000:
         raise ValueError(f"need count >= 10^4, got {count}")
     rows = spec.frame.rows
     k, n = rows.shape
@@ -241,41 +247,44 @@ def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> Pai
         coord_norm3 = np.sqrt(np.sum(rows**2, axis=0)) ** 3
         width = n
 
+    w = np.empty((count, k))
     frob = np.empty(count)
     cubes = np.empty(count)
     cond_second = np.empty(count) if k == 1 else None
 
     chunk = max(256, _CHUNK_BUDGET // width)
-    done = 0
-    while done < count:
+    for done in range(0, count, chunk):
         c = min(chunk, count - done)
+        part = slice(done, done + c)
         if simplex:
             gamma = simplex_vertex_coords(spec.geom, stream, c)
-            w = vertex_projection(gamma, alpha)
+            w[part] = vertex_projection(gamma, alpha)
+        else:
+            pts = sample_body(spec.body, stream, c).points
+            w[part] = project(spec.frame, pts)
+        if not pair_terms:
+            continue
+        if simplex:
             norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", gamma, gamma)
-            s = _edge_sums(gamma, alpha, norm2, w)  # (c, k*k), ordered-pair sums
+            s = _edge_sums(gamma, alpha, norm2, w[part])  # (c, k*k), ordered-pair sums
             e = (4.0 / n) * (s / (n + 1.0) - eye_flat)
             a, b = _edge_vertices(stream.integers(0, n * (n + 1) // 2, c), n + 1)
             edge_x = edge_coef * (gamma[np.arange(c), a] - gamma[np.arange(c), b])
             edge_t = edge_coef * (alpha[:, a] - alpha[:, b])  # (k, c)
-            cubes[done : done + c] = (
-                8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
-            )
+            cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
             if cond_second is not None:
-                cond_second[done : done + c] = (4.0 / (n * (n + 1.0))) * s[:, 0]
+                cond_second[part] = (4.0 / (n * (n + 1.0))) * s[:, 0]
         else:
-            pts = sample_body(spec.body, stream, c).points
             sq = pts**2
             s = sq @ coord_products.T
             e = (4.0 / n) * (s - eye_flat)
             idx = stream.integers(0, n, c)
-            cubes[done : done + c] = (
-                8.0 * np.abs(pts[np.arange(c), idx]) ** 3 * coord_norm3[idx]
-            )
+            cubes[part] = 8.0 * np.abs(pts[np.arange(c), idx]) ** 3 * coord_norm3[idx]
             if cond_second is not None:
-                cond_second[done : done + c] = (4.0 / n) * s[:, 0]
-        frob[done : done + c] = np.sqrt(np.sum(e**2, axis=1))
-        done += c
+                cond_second[part] = (4.0 / n) * s[:, 0]
+        frob[part] = np.sqrt(np.sum(e**2, axis=1))
+    if not pair_terms:
+        return w, None
 
     frob_mean, frob_se = batch_mean_se(frob)
     m3_mean, m3_se = batch_mean_se(cubes)
@@ -283,7 +292,7 @@ def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> Pai
         condvar, condvar_se = batch_var_se(cond_second)
     else:
         condvar = condvar_se = None
-    return PairStatistics(
+    return w, PairStatistics(
         term_E=frob_mean / lam,
         term_E_se=frob_se / lam,
         term_M3=m3_mean,
@@ -295,6 +304,11 @@ def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> Pai
         n=n,
         lam=lam,
     )
+
+
+def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> PairStatistics:
+    """Estimate the pair terms from `count` body samples on one stream (see `row_pass`)."""
+    return row_pass(spec, count, stream)[1]
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,19 @@ def test_simplex_n1024_within_address_space_limit(tmp_path):
     assert len(rows) == 1 and rows[0].N == 10_000 and rows[0].bound_d1_cor is not None
 
 
+def test_distance_draws_in_chunks_within_address_space_limit():
+    # One draw of 3e5 points at n = 1024 is 2.4 GB; `distance` samples through
+    # the chunked row pass and needs a few hundred MB.
+    result = run_under_address_limit(
+        "sys.exit(main(['distance', '--metric', 'w1', '--body', 'product-uniform',\n"
+        "               '--n', '1024', '--k', '1', '--frame', 'walsh',\n"
+        "               '--samples', '300000', '--seed', '1']))\n",
+        1.5,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.startswith("w1-1d,") and ",300000,1" in result.stdout
+
+
 def test_simplex_wide_frame_pair_terms_within_address_space_limit(tmp_path):
     # At k = n = 16 the per-draw edge sums, (k*k) = 256 wide, outgrow gamma
     # (n + 1 = 17 wide); a chunk sized by n + 1 alone needs about 600 MiB per

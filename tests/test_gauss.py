@@ -158,6 +158,14 @@ def test_gaussian_tv_exact_bounded_and_symmetric(s1, s2):
     assert val == pytest.approx(gaussian_tv_exact(s2, s1, 3), abs=1e-12)
 
 
+@pytest.mark.parametrize("s1,s2", [(3.0, 2.9999999999999996), (1.0, 1.0000000000000002)])
+def test_gaussian_tv_exact_nonnegative_for_nearly_equal_scales(s1, s2):
+    # Scales one ulp apart; the difference of chi-square cdf values went negative here.
+    for dim in (1, 3, 10):
+        assert 0.0 <= gaussian_tv_exact(s1, s2, dim) < 1e-14
+        assert gaussian_tv_exact(s1, s2, dim) == gaussian_tv_exact(s2, s1, dim)
+
+
 def test_gaussian_tv_exact_monotone_in_scale_gap():
     values = [gaussian_tv_exact(1.0, 1.0 + gap, 4) for gap in (0.0, 0.1, 0.3, 0.7, 1.5)]
     assert all(a < b for a, b in zip(values, values[1:]))

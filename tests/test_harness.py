@@ -1,11 +1,13 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
+from margauss import bodies, harness, stein
 from margauss.bodies import BodySpec, sample_body
 from margauss.core import substream
-from margauss.frames import project, walsh_frame
+from margauss.frames import build_frame, project, walsh_frame
 from margauss.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -16,7 +18,7 @@ from margauss.harness import (
     run_experiment,
 )
 from margauss.metrics import w1_1d
-from margauss.stein import _CHUNK_BUDGET
+from margauss.stein import _CHUNK_BUDGET, PairSpec, corollary_bounds, estimate_pair_terms
 
 
 def small_config(**overrides):
@@ -129,12 +131,69 @@ def test_runtime_cap_logged_and_reflected(caplog):
 
 def test_metrics_sample_stitched_across_chunks():
     n, count = 1024, 30_000
-    assert count > 2 * (_CHUNK_BUDGET // n)  # at least three sampling chunks
+    chunk = _CHUNK_BUDGET // n
+    assert count > 2 * chunk  # at least three chunks of the row pass
     row = run_experiment(small_config(ns=(n,), samples=count))[0]
-    pts = sample_body(BodySpec("product-uniform", n), substream(1, 1), count).points
-    full = w1_1d(project(walsh_frame(n, 1), pts)[:, 0])
+    # Replay the row pass on its stream: each chunk draws its points, then its reflection indices.
+    stream = substream(1, 2)
+    parts = []
+    for start in range(0, count, chunk):
+        c = min(chunk, count - start)
+        pts = sample_body(BodySpec("product-uniform", n), stream, c).points
+        parts.append(project(walsh_frame(n, 1), pts))
+        stream.integers(0, n, c)
+    full = w1_1d(np.concatenate(parts)[:, 0])
     assert row.N == count
     assert row.emp_w1 == pytest.approx(full.value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "body,n,k,frame", [("product-uniform", 64, 1, "walsh"), ("simplex", 16, 2, "haar")]
+)
+def test_row_draws_each_body_element_once(body, n, k, frame, monkeypatch):
+    drawn = []
+
+    def counting(fn, count_of):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            drawn.append(count_of(result))
+            return result
+
+        return wrapped
+
+    for module in (harness, stein):
+        if hasattr(module, "sample_body"):
+            monkeypatch.setattr(
+                module, "sample_body", counting(bodies.sample_body, lambda r: r.points.size)
+            )
+        if hasattr(module, "simplex_vertex_coords"):
+            # gamma has n+1 vertex coordinates per n-dimensional point.
+            monkeypatch.setattr(
+                module,
+                "simplex_vertex_coords",
+                counting(bodies.simplex_vertex_coords, lambda g: g.shape[0] * n),
+            )
+    count = 20_000
+    config = small_config(bodies=(body,), ns=(n,), ks=(k,), frames=(frame,), samples=count)
+    row = run_experiment(config)[0]
+    assert row.emp_w1 is not None and row.bound_d1_cor is not None
+    assert sum(drawn) == count * n
+
+
+def test_row_pair_bounds_match_estimate_pair_terms():
+    seed, count = 7, 20_000
+    config = small_config(ns=(16, 64), ks=(2,), frames=("haar",), samples=count, seeds=(seed,))
+    row = run_experiment(config)[1]
+    idx, n = 1, 64  # second combination in sort order
+    spec = PairSpec(
+        body=BodySpec("product-uniform", n),
+        frame=build_frame("haar", n, 2, substream(seed, 4 * idx)),
+    )
+    stats = estimate_pair_terms(spec, count, substream(seed, 4 * idx + 2))
+    cor = corollary_bounds(stats, 2, spec.lam)
+    assert row.n == n
+    assert row.bound_d1_cor == cor.d1_bound
+    assert row.bound_dtv_cor == cor.dtv_bound
 
 
 def test_timing_opt_in():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from margauss import harness, stein
+from margauss import stein
 from margauss.bodies import BodySpec, regular_simplex, sample_body
 from margauss.core import ConstantsConfig, substream
 from margauss.frames import (
@@ -23,6 +23,7 @@ from margauss.stein import (
     corollary_bounds,
     estimate_pair_terms,
     reflect_pair,
+    row_pass,
     theorem_bounds,
     transpose_pair,
     _edge_sums,
@@ -299,7 +300,8 @@ def test_bound_report_validation():
         BoundReport(source="thm9")
     with pytest.raises(ValueError):
         BoundReport(source="thm1", d1_bound=-1.0)
-    assert BoundReport(source="prop-stein").source == "prop-stein"
+    with pytest.raises(ValueError):
+        BoundReport(source="prop-stein")
 
 
 def edge_reference(spec, stream, count):
@@ -364,10 +366,9 @@ def test_simplex_pair_terms_match_edge_enumeration(n, k):
 
 @pytest.mark.parametrize("n,k", [(16, 1), (300, 3)])
 def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
-    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 1_700 * n)  # three chunks
-    geom = regular_simplex(n)
-    body = BodySpec("simplex", n)
-    frame = haar_frame(n, k, substream(55, n))
-    w = harness._projected_sample(body, frame, geom, substream(56, n), 5_000)
-    pts = sample_body(body, substream(56, n), 5_000, geom=geom).points
-    assert np.max(np.abs(w - project(frame, pts))) <= 1e-12
+    monkeypatch.setattr(stein, "_CHUNK_BUDGET", 1_700 * (n + 1))  # three chunks
+    spec = make_spec("simplex", n, k, seed=55)
+    w, stats = row_pass(spec, 5_000, substream(56, n), pair_terms=False)
+    pts = sample_body(spec.body, substream(56, n), 5_000, geom=spec.geom).points
+    assert stats is None
+    assert np.max(np.abs(w - project(spec.frame, pts))) <= 1e-12
