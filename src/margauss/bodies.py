@@ -169,22 +169,30 @@ def sample_body(
     stream: RandomStream,
     count: int,
     geom: Optional[SimplexGeometry] = None,
+    out: Optional[np.ndarray] = None,
 ) -> SampleBatch:
     """Draw `count` iid points from the body's isotropic distribution.
 
     For the simplex kind the geometry is built on demand when not supplied.
+    With `out`, a (count, n) float64 array, the points are written there and
+    the batch holds `out`. Product draws take one array of stream values per
+    call, so drawing N points in pieces gives the same points as one draw of
+    N; lp-ball draws take three arrays and depend on how N is split.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     n = spec.n
+    if out is not None and out.shape != (count, n):
+        raise ValueError(f"out must have shape ({count}, {n}), got {out.shape}")
     if spec.kind == "product-uniform":
-        pts = (2.0 * stream.uniform((count, n)) - 1.0) * math.sqrt(3.0)
+        pts = stream.uniform((count, n), out=out)
+        pts *= 2.0
+        pts -= 1.0
+        pts *= math.sqrt(3.0)
     elif spec.kind == "product-gaussian":
-        pts = stream.normal((count, n))
+        pts = stream.normal((count, n), out=out)
     elif spec.kind == "product-laplace":
-        mag = stream.exponential((count, n)) / math.sqrt(2.0)
-        signs = np.where(stream.uniform((count, n)) < 0.5, -1.0, 1.0)
-        pts = signs * mag
+        pts = _laplace_from_uniform(stream.uniform((count, n), out=out))
     elif spec.kind == "lp-ball":
         pts = _sample_lp_ball(spec.n, spec.p, stream, count)
     elif spec.kind == "simplex":
@@ -193,29 +201,53 @@ def sample_body(
         pts = geom.scale * (_simplex_weights(n, stream, count) @ geom.vertices)
     else:  # pragma: no cover - guarded by BodySpec
         raise ValueError(spec.kind)
+    if out is not None and pts is not out:
+        out[...] = pts
+        pts = out
     return SampleBatch(body=spec, points=pts, seed=stream.seed, stream_id=stream.stream_id)
 
 
-def _simplex_weights(n: int, stream: RandomStream, count: int) -> np.ndarray:
+def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Turn uniforms on [0, 1) into unit-variance Laplace values, in place, by inverse CDF.
+
+    u < 1/2 gives the sign; v = 2u - [u >= 1/2] is uniform on [0, 1) and
+    |x| = -log1p(-v)/sqrt(2), which is finite for every u the stream can give.
+    """
+    negative = u < 0.5
+    u *= 2.0
+    np.subtract(u, 1.0, out=u, where=~negative)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= -math.sqrt(2.0)
+    np.negative(u, out=u, where=negative)
+    return u
+
+
+def _simplex_weights(
+    n: int, stream: RandomStream, count: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Barycentric weights, (count, n+1), of `count` uniform points of the simplex.
 
     Normalized iid exponentials are Dirichlet(1, ..., 1); the point is
     scale * (weights @ vertices). This is the only simplex draw.
     """
-    weights = stream.exponential((count, n + 1))
+    weights = stream.exponential((count, n + 1), out=out)
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
 
 
-def simplex_vertex_coords(geom: SimplexGeometry, stream: RandomStream, count: int) -> np.ndarray:
+def simplex_vertex_coords(
+    geom: SimplexGeometry, stream: RandomStream, count: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Vertex coordinates gamma_a = <v_a, x>, (count, n+1), of `count` uniform points.
 
     Reads the same stream values as `sample_body`: with x = scale * (w @ V),
     <v_a, v_b> = -1/n for a != b and sum_b w_b = 1, gamma = scale ((n+1)/n w - 1/n).
-    The points themselves are never formed; see `vertex_projection`.
+    The points themselves are never formed; see `vertex_projection`. With
+    `out`, a (count, n+1) float64 array, gamma is written there.
     """
     n = geom.n
-    gamma = _simplex_weights(n, stream, count)
+    gamma = _simplex_weights(n, stream, count, out)
     gamma *= geom.scale * (n + 1.0) / n
     gamma -= geom.scale / n
     return gamma

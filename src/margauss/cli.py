@@ -91,13 +91,14 @@ def _cmd_smoothing(args) -> int:
 def _cmd_distance(args) -> int:
     spec, geom = _body_and_geom(args)
     seed = resolve_seed(args.seed)
+    # The sweep's stream map at row 0: frame 0, sample 2, sliced directions 3.
     frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 0))
-    w = harness.projection_sampler(spec, frame, geom)(substream(seed, 0), args.samples)
+    w = harness.projection_sampler(spec, frame, geom)(substream(seed, 2), args.samples)
     if args.metric == "w1":
         if args.k == 1:
             est = metrics.w1_1d(w[:, 0])
         else:
-            est = metrics.w1_sliced(w, harness.SLICED_DIRECTIONS, substream(seed, 1))
+            est = metrics.w1_sliced(w, harness.SLICED_DIRECTIONS, substream(seed, 3))
     elif args.metric == "ks":
         if args.k != 1:
             raise SystemExit("ks is a one-dimensional estimator; use k=1")

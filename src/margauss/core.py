@@ -56,14 +56,16 @@ class RandomStream:
         )
         return np.random.default_rng(root)
 
-    def uniform(self, size=None):
-        return self._rng.random(size)
+    # With `out`, the draw fills that float64 array in place and returns it;
+    # consecutive draws into pieces of an array equal one draw of the whole.
+    def uniform(self, size=None, out=None):
+        return self._rng.random(size, out=out)
 
-    def normal(self, size=None):
-        return self._rng.standard_normal(size)
+    def normal(self, size=None, out=None):
+        return self._rng.standard_normal(size, out=out)
 
-    def exponential(self, size=None):
-        return self._rng.standard_exponential(size)
+    def exponential(self, size=None, out=None):
+        return self._rng.standard_exponential(size, out=out)
 
     def gamma(self, shape: float, size=None):
         return self._rng.standard_gamma(shape, size)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 from scipy.stats import chi2
 
 GRID_LO = -12.0
@@ -118,6 +117,8 @@ def convolve_l1(f: Density1D, t: float) -> SmoothingResult:
 
     Grid quadrature throughout; requires h <= t/10 so the kernel is resolved.
     """
+    from scipy.signal import fftconvolve  # imported here: scipy.signal is slow to load
+
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if f.h > t / 10.0 + 1e-15:

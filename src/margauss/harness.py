@@ -37,9 +37,9 @@ SLICED_DIRECTIONS = 64
 
 # Body elements (N * n per row) a row processes per second, used only for the
 # optional runtime cap. Measured on the product-uniform Walsh sweep (k = 1,
-# n = 16..1024, N = 1.5e5, metric w1): 2.04e8 elements in 2.9 to 3.1 s on a
-# 2-core x86-64 machine with one BLAS thread.
-_ELEMENTS_PER_SECOND = 7.0e7
+# n = 16..1024, N = 1.5e5, metric w1): 2.04e8 elements in 1.51 to 1.86 s
+# (median 1.64 s) on a 2-core x86-64 machine with one BLAS thread.
+_ELEMENTS_PER_SECOND = 1.2e8
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,10 @@ def w1_sliced(samples: np.ndarray, directions: int, stream: RandomStream) -> Dis
     n, k = samples.shape
     dirs = stream.normal((directions, k))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    projected = samples @ dirs.T
-    values = np.sort(projected, axis=0)
-    quantiles = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
-    per_dir = np.abs(values - quantiles[:, None]).mean(axis=0)
+    values = dirs @ samples.T  # (directions, N): each sort runs along a contiguous row
+    values.sort(axis=1)
+    values -= norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    per_dir = np.abs(values, out=values).mean(axis=1)
     se = float(per_dir.std(ddof=1) / math.sqrt(directions))
     return DistanceEstimate(
         metric="w1-sliced", value=float(per_dir.mean()), se_or_bias_note=se, count=n, k=k

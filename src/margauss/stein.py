@@ -52,6 +52,8 @@ BOUND_SOURCES = (
 
 # Sample-chunk element budget for the closed-form estimators (memory guard).
 _CHUNK_BUDGET = 12_500_000
+# Elements of one row-pass tile (1 MiB of float64), sized to stay in L2 cache.
+_TILE_BUDGET = 131_072
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,12 @@ def row_pass(
     Each chunk projects its points into W and, with `pair_terms`, then draws
     one symmetry index per point and feeds the pair-term accumulators, so the
     empirical distances and the semi-empirical bounds share every draw.
-    Memory is O(chunk * n + count * k).
+    Inside a chunk the points are drawn in tiles of about `_TILE_BUDGET`
+    elements into one reused chunk buffer; each tile is scaled, projected and
+    reduced to its coordinate or edge sums while it is still in cache. The
+    tiles read the stream in the same order as one draw of the chunk, and an
+    lp-ball chunk, whose draw takes three arrays, is one tile. Memory is
+    O(chunk * width + count * k), width = max(n, k*k).
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij comes from the edge-sum
@@ -241,11 +248,12 @@ def row_pass(
     if simplex:
         alpha = rows @ spec.geom.vertices.T  # (k, n+1)
         edge_coef = math.sqrt(n / (2.0 * (n + 1.0)))
-        width = max(n + 1, k * k)  # gamma and the (c, k*k) edge-sum temporaries
+        m = n + 1  # gamma holds one coordinate per vertex
     else:
         coord_products = (rows[:, None, :] * rows[None, :, :]).reshape(k * k, n)
         coord_norm3 = np.sqrt(np.sum(rows**2, axis=0)) ** 3
-        width = n
+        m = n
+    width = max(m, k * k)  # the body buffer and the (c, k*k) pair-term sums
 
     w = np.empty((count, k))
     frob = np.empty(count)
@@ -253,36 +261,54 @@ def row_pass(
     cond_second = np.empty(count) if k == 1 else None
 
     chunk = max(256, _CHUNK_BUDGET // width)
+    # Tiles hold a multiple of 4 rows: BLAS matrix-vector kernels take rows in
+    # groups of four and round an operand's last 1-3 rows differently, so
+    # aligned tiles give k = 1 the bits of one single-threaded product over
+    # the whole chunk.
+    tile = chunk if spec.body.kind == "lp-ball" else max(4, _TILE_BUDGET // width // 4 * 4)
+    body = np.empty((min(chunk, count), m))  # the chunk's points, or gamma for the simplex
+    if pair_terms:
+        sums = np.empty((min(chunk, count), k * k))
+        squares = None if simplex else np.empty((min(tile, count), n))
     for done in range(0, count, chunk):
         c = min(chunk, count - done)
-        part = slice(done, done + c)
-        if simplex:
-            gamma = simplex_vertex_coords(spec.geom, stream, c)
-            w[part] = vertex_projection(gamma, alpha)
-        else:
-            pts = sample_body(spec.body, stream, c).points
-            w[part] = project(spec.frame, pts)
+        for lo in range(0, c, tile):
+            t = min(tile, c - lo)
+            pts = body[lo : lo + t]
+            w_tile = w[done + lo : done + lo + t]
+            if simplex:
+                simplex_vertex_coords(spec.geom, stream, t, out=pts)
+                w_tile[...] = vertex_projection(pts, alpha)
+                if pair_terms:  # ordered-pair edge sums
+                    norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts)
+                    sums[lo : lo + t] = _edge_sums(pts, alpha, norm2, w_tile)
+            else:
+                sample_body(spec.body, stream, t, out=pts)
+                w_tile[...] = project(spec.frame, pts)
+                if pair_terms:
+                    np.square(pts, out=squares[:t])
+                    np.matmul(squares[:t], coord_products.T, out=sums[lo : lo + t])
         if not pair_terms:
             continue
+        part = slice(done, done + c)
+        pts, s = body[:c], sums[:c]
         if simplex:
-            norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", gamma, gamma)
-            s = _edge_sums(gamma, alpha, norm2, w[part])  # (c, k*k), ordered-pair sums
-            e = (4.0 / n) * (s / (n + 1.0) - eye_flat)
             a, b = _edge_vertices(stream.integers(0, n * (n + 1) // 2, c), n + 1)
-            edge_x = edge_coef * (gamma[np.arange(c), a] - gamma[np.arange(c), b])
+            edge_x = edge_coef * (pts[np.arange(c), a] - pts[np.arange(c), b])
             edge_t = edge_coef * (alpha[:, a] - alpha[:, b])  # (k, c)
             cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
             if cond_second is not None:
                 cond_second[part] = (4.0 / (n * (n + 1.0))) * s[:, 0]
+            s /= n + 1.0
         else:
-            sq = pts**2
-            s = sq @ coord_products.T
-            e = (4.0 / n) * (s - eye_flat)
             idx = stream.integers(0, n, c)
             cubes[part] = 8.0 * np.abs(pts[np.arange(c), idx]) ** 3 * coord_norm3[idx]
             if cond_second is not None:
                 cond_second[part] = (4.0 / n) * s[:, 0]
-        frob[part] = np.sqrt(np.sum(e**2, axis=1))
+        e = s  # E_ij = (4/n) (s - delta_ij), formed in place
+        e -= eye_flat
+        e *= 4.0 / n
+        frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
     if not pair_terms:
         return w, None
 

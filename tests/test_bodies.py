@@ -249,3 +249,47 @@ def test_unconditionality_symmetry():
 def test_sample_body_count_validation():
     with pytest.raises(ValueError):
         sample_body(BodySpec("product-uniform", 3), substream(1, 0), 0)
+
+
+@pytest.mark.parametrize(
+    "kind", ["product-uniform", "product-gaussian", "product-laplace", "simplex"]
+)
+def test_sample_body_fills_out_in_place(kind):
+    spec = BodySpec(kind, 5)
+    out = np.empty((40, 5))
+    batch = sample_body(spec, substream(35, 0), 40, out=out)
+    assert batch.points is out
+    assert np.array_equal(out, sample_body(spec, substream(35, 0), 40).points)
+    with pytest.raises(ValueError):
+        sample_body(spec, substream(35, 0), 39, out=out)
+
+
+def test_laplace_draw_is_chunk_invariant():
+    spec = BodySpec("product-laplace", 6)
+    whole = sample_body(spec, substream(36, 0), 1_000).points
+    stream = substream(36, 0)
+    parts = [sample_body(spec, stream, c).points for c in (377, 623)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+class _FixedUniforms:
+    """A stream whose uniform draw returns fixed values."""
+
+    seed = stream_id = 0
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.float64)
+
+    def uniform(self, size, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.values.reshape(size)
+        return out
+
+
+def test_laplace_draw_finite_at_uniform_extremes():
+    # u = 0 and u = 1/2 give v = 0; u = 1 - 2^-53, the largest uniform, gives v = 1 - 2^-52.
+    u = [0.0, 0.5, 1.0 - 2.0**-53]
+    pts = sample_body(BodySpec("product-laplace", 3), _FixedUniforms(u), 1).points[0]
+    assert np.all(np.isfinite(pts))
+    assert pts[0] == 0.0 and pts[1] == 0.0
+    assert pts[2] == pytest.approx(52.0 * math.log(2.0) / math.sqrt(2.0), rel=1e-15)

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import margauss
+from margauss import bodies
 from margauss.cli import main
+from margauss.core import substream
 from margauss.harness import read_result_csv
 
 
@@ -146,6 +148,30 @@ def test_experiment_constants_override(tmp_path, capsys):
     assert row_scaled.bound_d1_thm == row_base.bound_d1_thm
 
 
+def test_distance_samples_apart_from_the_frame_stream(capsys, monkeypatch):
+    # The Haar frame orthonormalises the first Gaussian rows of stream 0; the
+    # sample must come from another stream, so it is not one of those rows.
+    from margauss import stein
+
+    drawn = []
+
+    def recording(*args, **kwargs):
+        batch = bodies.sample_body(*args, **kwargs)
+        drawn.append(batch.points.copy())
+        return batch
+
+    monkeypatch.setattr(stein, "sample_body", recording)
+    code, out = run_cli(
+        capsys, "distance", "--metric", "w1", "--body", "product-gaussian", "--n", "8",
+        "--k", "2", "--frame", "haar", "--samples", "1000", "--seed", "5",
+    )
+    assert code == 0 and out.startswith("w1-sliced,")
+    frame_rows = substream(5, 0).normal((2, 8))
+    first_point = drawn[0][0]
+    assert not np.array_equal(first_point, frame_rows[0])
+    assert np.array_equal(first_point, substream(5, 2).normal(8))
+
+
 def test_distance_rejects_multidimensional_ks(capsys):
     with pytest.raises(SystemExit):
         main(["distance", "--metric", "ks", "--body", "product-gaussian", "--n", "8",
@@ -243,6 +269,24 @@ def test_simplex_wide_frame_pair_terms_within_address_space_limit(tmp_path):
     result = run_under_address_limit(
         f"sys.exit(main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]))\n",
         1.5,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    rows = read_result_csv(out)
+    assert len(rows) == 1 and rows[0].bound_d1_cor is not None
+
+
+def test_product_wide_frame_pair_terms_within_address_space_limit(tmp_path):
+    # At k = n = 64 the pair-term sums are k*k = 4096 wide; a chunk sized by n
+    # alone asks for a (100000, 4096) array, 3.05 GiB, at N = 1e5.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-uniform"], "ns": [64], "ks": [64], "frames": ["haar"],
+        "samples": 100_000, "seeds": [1], "metrics": [],
+    }))
+    out = tmp_path / "rows.csv"
+    result = run_under_address_limit(
+        f"sys.exit(main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]))\n",
+        2.5,
     )
     assert result.returncode == 0, result.stderr[-2000:]
     rows = read_result_csv(out)

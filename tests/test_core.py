@@ -40,6 +40,18 @@ def test_stream_draw_kinds_available():
     assert s.gamma(2.0, 10).min() >= 0
 
 
+@pytest.mark.parametrize("draw", ["uniform", "normal", "exponential"])
+def test_draws_into_pieces_equal_one_draw(draw):
+    whole_stream, tiled_stream = substream(12, 1), substream(12, 1)
+    whole = getattr(whole_stream, draw)((10, 7))
+    tiled = np.empty((10, 7))
+    for lo, hi in ((0, 3), (3, 4), (4, 10)):  # uneven pieces
+        getattr(tiled_stream, draw)((hi - lo, 7), out=tiled[lo:hi])
+    assert np.array_equal(tiled, whole)
+    # Both streams are left in the same state.
+    assert np.array_equal(getattr(whole_stream, draw)(5), getattr(tiled_stream, draw)(5))
+
+
 def test_substream_rejects_non_integers():
     with pytest.raises(ValueError):
         substream(1.5, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -372,3 +373,31 @@ def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
     pts = sample_body(spec.body, substream(56, n), 5_000, geom=spec.geom).points
     assert stats is None
     assert np.max(np.abs(w - project(spec.frame, pts))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind", ["product-uniform", "product-gaussian", "product-laplace", "simplex"]
+)
+@pytest.mark.parametrize("k", [1, 3])
+def test_row_pass_tiles_leave_results_unchanged(kind, k, monkeypatch):
+    n, count = 16, 10_000
+    spec = make_spec(kind, n, k, seed=57)
+    width = max(n + (kind == "simplex"), k * k)
+    # Chunks of 4000, 4000 and 2000 rows: multiples of 16, so a threaded BLAS
+    # that halves or quarters a chunk still hands each thread whole groups of 4.
+    monkeypatch.setattr(stein, "_CHUNK_BUDGET", 4_000 * width)
+    results = []
+    # The one-row budget gives the smallest tile, 4 rows; 13 rows round down to 12.
+    for budget in (width, 13 * width, 4_000 * width):
+        monkeypatch.setattr(stein, "_TILE_BUDGET", budget)
+        w, stats = row_pass(spec, count, substream(58, n + k))
+        results.append((w, dataclasses.astuple(stats)))
+    (w0, stats0), rest = results[0], results[1:]
+    for w, stats in rest:
+        if k == 1:  # one-column products give every row the same bits in any tile
+            assert np.array_equal(w, w0)
+            assert stats == stats0
+        else:
+            assert np.max(np.abs(w - w0)) <= 1e-12 * np.max(np.abs(w0))
+            for value, ref in zip(stats, stats0):
+                assert value == pytest.approx(ref, rel=1e-12)
