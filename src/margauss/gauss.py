@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import chi2
 
 GRID_LO = -12.0
 GRID_HI = 12.0
@@ -159,6 +157,10 @@ def gaussian_tv_exact(s1: float, s2: float, dim: int) -> float:
     The densities cross on a single sphere; the distance reduces to the
     chi-square mass between the crossing radius in units of either scale.
     """
+    # Imported here: scipy.integrate and scipy.stats are slow to load.
+    from scipy.integrate import quad
+    from scipy.stats import chi2
+
     if not (s1 > 0 and s2 > 0):
         raise ValueError("scales must be positive")
     if dim < 1:

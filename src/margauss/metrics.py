@@ -14,15 +14,31 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .core import RandomStream
 
 MATCHING_CAP = 2048
 
 METRIC_LABELS = ("w1-1d", "w1-matching", "w1-sliced", "ks", "tv-hist")
+
+
+class _StandardNormal:
+    """N(0,1) ppf, cdf and sf from scipy.special, without loading scipy.stats.
+
+    They are the functions `scipy.stats.norm` evaluates, bit for bit. The
+    estimators reach them through the module attribute `norm`.
+    """
+
+    ppf = staticmethod(ndtri)
+    cdf = staticmethod(ndtr)
+
+    @staticmethod
+    def sf(x):
+        return ndtr(-x)
+
+
+norm = _StandardNormal()
 
 
 @dataclass(frozen=True)
@@ -58,9 +74,11 @@ def _as_points(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _quantile_w1(sorted_samples: np.ndarray) -> float:
-    n = len(sorted_samples)
-    quantiles = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+def _gaussian_quantiles(n: int) -> np.ndarray:
+    return norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+
+
+def _quantile_w1(sorted_samples: np.ndarray, quantiles: np.ndarray) -> float:
     return float(np.abs(sorted_samples - quantiles).mean())
 
 
@@ -74,15 +92,18 @@ def w1_1d(samples: np.ndarray) -> DistanceEstimate:
     n = len(samples)
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
-    value = _quantile_w1(np.sort(samples))
-    m = (n // 20) * 20
-    batch_vals = [_quantile_w1(np.sort(chunk)) for chunk in samples[:m].reshape(20, -1)]
+    value = _quantile_w1(np.sort(samples), _gaussian_quantiles(n))
+    batches = samples[: (n // 20) * 20].reshape(20, -1)
+    batch_quantiles = _gaussian_quantiles(batches.shape[1])  # every batch has the same length
+    batch_vals = [_quantile_w1(np.sort(batch), batch_quantiles) for batch in batches]
     se = float(np.std(batch_vals, ddof=1) / math.sqrt(20))
     return DistanceEstimate(metric="w1-1d", value=value, se_or_bias_note=se, count=n, k=1)
 
 
 @lru_cache(maxsize=1)
 def _w1_floor_constant() -> float:
+    from scipy import integrate  # imported here: slow to load
+
     integral, _ = integrate.quad(lambda x: math.sqrt(norm.cdf(x) * norm.sf(x)), -12, 12)
     return math.sqrt(2.0 / math.pi) * integral
 
@@ -105,6 +126,8 @@ def w1_matching(samples_a: np.ndarray, samples_b: np.ndarray) -> DistanceEstimat
     n = a.shape[0]
     if n > MATCHING_CAP:
         raise ValueError(f"matching cost is cubic; capped at N <= {MATCHING_CAP}, got {n}")
+    from scipy.optimize import linear_sum_assignment  # imported here: slow to load
+
     diff = a[:, None, :] - b[None, :, :]
     cost = np.sqrt(np.sum(diff**2, axis=2))
     rows, cols = linear_sum_assignment(cost)
@@ -134,7 +157,7 @@ def w1_sliced(samples: np.ndarray, directions: int, stream: RandomStream) -> Dis
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     values = dirs @ samples.T  # (directions, N): each sort runs along a contiguous row
     values.sort(axis=1)
-    values -= norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    values -= _gaussian_quantiles(n)
     per_dir = np.abs(values, out=values).mean(axis=1)
     se = float(per_dir.std(ddof=1) / math.sqrt(directions))
     return DistanceEstimate(

@@ -291,3 +291,30 @@ def test_product_wide_frame_pair_terms_within_address_space_limit(tmp_path):
     assert result.returncode == 0, result.stderr[-2000:]
     rows = read_result_csv(out)
     assert len(rows) == 1 and rows[0].bound_d1_cor is not None
+
+
+def test_cli_runs_on_scipy_special_alone(tmp_path):
+    # Start-up cost: margauss imports scipy.special and no other scipy module;
+    # scipy.stats, scipy.integrate, scipy.optimize and scipy.signal are loaded
+    # only inside the functions that use them, which these commands never call.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-uniform", "simplex"], "ns": [16], "ks": [1, 2],
+        "frames": ["haar"], "samples": 10_000, "seeds": [1], "metrics": ["w1", "ks", "tv"],
+    }))
+    out = tmp_path / "rows.csv"
+    result = run_under_address_limit(
+        f"assert main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+        "assert main(['verify', 'pair', '--body', 'simplex', '--n', '16', '--k', '2',\n"
+        "             '--frame', 'haar', '--samples', '5', '--seed', '1']) == 0\n"
+        "for metric, k in (('w1', '1'), ('w1', '2'), ('ks', '1'), ('tv', '1')):\n"
+        "    assert main(['distance', '--metric', metric, '--body', 'product-uniform',\n"
+        "                 '--n', '16', '--k', k, '--frame', 'haar', '--samples', '2000',\n"
+        "                 '--seed', '1']) == 0\n"
+        "slow = ('scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.signal')\n"
+        "print('loaded:', sorted(name for name in slow if name in sys.modules))\n",
+        2.5,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "loaded: []"
+    assert len(read_result_csv(out)) == 4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from margauss import metrics
 from margauss.core import substream
 from margauss.metrics import (
     ks_1d,
@@ -157,3 +158,49 @@ def test_w1_consistency_rate():
         large.append(w1_1d(substream(73, seed).normal(40_000)).value)
     ratio = np.mean(small) / np.mean(large)
     assert 1.6 <= ratio <= 2.6
+
+
+def test_norm_matches_scipy_stats_bit_for_bit():
+    # metrics.norm evaluates Phi and Phi^{-1} through scipy.special alone;
+    # scipy.stats.norm is the independent reference.
+    for n in (100, 7_500, 150_000):
+        grid = (np.arange(1, n + 1) - 0.5) / n
+        assert np.array_equal(metrics.norm.ppf(grid), norm.ppf(grid))
+    draws = substream(74, 0).normal(1_000_000)
+    edges = np.histogram_bin_edges([], bins=60, range=(-8.0, 8.0))
+    special = np.array([0.0, -0.0, 40.0, -40.0])
+    for x in (draws, edges, special):
+        assert np.array_equal(metrics.norm.cdf(x), norm.cdf(x))
+        assert np.array_equal(metrics.norm.sf(x), norm.sf(x))
+    for x in special:
+        assert metrics.norm.cdf(float(x)) == norm.cdf(float(x))
+        assert metrics.norm.sf(float(x)) == norm.sf(float(x))
+
+
+def test_w1_1d_matches_definition_and_shares_batch_quantiles(monkeypatch):
+    n = 150_000
+    samples = substream(75, 0).normal(n) * 1.1
+    batches = samples.reshape(20, -1)
+    value = np.abs(np.sort(samples) - norm.ppf((np.arange(1, n + 1) - 0.5) / n)).mean()
+    batch_grid = norm.ppf((np.arange(1, n // 20 + 1) - 0.5) / (n // 20))
+    batch_vals = [np.abs(np.sort(b) - batch_grid).mean() for b in batches]
+    se = np.std(batch_vals, ddof=1) / math.sqrt(20)
+
+    counted = []
+
+    class CountingNorm:
+        def ppf(self, q):
+            counted.append(q.size)
+            return norm.ppf(q)
+
+    monkeypatch.setattr(metrics, "norm", CountingNorm())
+    est = w1_1d(samples)
+    assert est.value == value and est.se_or_bias_note == se
+    assert counted == [n, n // 20]  # the 20 batches share one quantile array
+
+
+def test_w1_noise_floor_constant():
+    # sqrt(2/pi) * integral sqrt(Phi (1 - Phi)) = 1.2884, the constant the
+    # README and the benchmark state.
+    for count in (1, 10_000, 2_000_000):
+        assert w1_noise_floor(count) * math.sqrt(count) == pytest.approx(1.2884, rel=1e-4)
