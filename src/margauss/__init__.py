@@ -10,7 +10,6 @@ from .bodies import (
     BodySpec,
     SampleBatch,
     SimplexGeometry,
-    edge_functional,
     isotropy_report,
     klartag_variance_check,
     parse_body_kind,
@@ -19,7 +18,7 @@ from .bodies import (
     simplex_moment_check,
     third_abs_moment_check,
 )
-from .core import ConstantsConfig, RandomStream, gaussian_vector, resolve_seed, substream
+from .core import ConstantsConfig, RandomStream, resolve_seed, substream
 from .frames import (
     Frame,
     FrameFunctionals,

@@ -131,12 +131,6 @@ def regular_simplex(n: int) -> SimplexGeometry:
     return SimplexGeometry(n=n, vertices=vertices, scale=math.sqrt(n * (n + 2)))
 
 
-def edge_functional(geom: SimplexGeometry, x: np.ndarray, i: int, j: int) -> float:
-    """x^{ij} = <x, u_ij> with |u_ij| = 1; antisymmetric in (i, j)."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(x @ geom.edge_direction(i, j))
-
-
 def lp_ball_coordinate_variance(n: int, p: float) -> float:
     """Coordinate variance of the uniform distribution on the unit lp ball.
 
@@ -212,14 +206,18 @@ def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
 
     u < 1/2 gives the sign; v = 2u - [u >= 1/2] is uniform on [0, 1) and
     |x| = -log1p(-v)/sqrt(2), which is finite for every u the stream can give.
+    No step is masked (NumPy's `where=` loops cost several times the arithmetic):
+    floor(2u) is [u >= 1/2], so v = 2u - floor(2u) exactly, and floor(2u) - 1/2
+    carries the sign of x.
     """
-    negative = u < 0.5
     u *= 2.0
-    np.subtract(u, 1.0, out=u, where=~negative)
+    sign = np.floor(u)
+    u -= sign
+    sign -= 0.5
     np.negative(u, out=u)
     np.log1p(u, out=u)
     u /= -math.sqrt(2.0)
-    np.negative(u, out=u, where=negative)
+    np.copysign(u, sign, out=u)
     return u
 
 

@@ -202,7 +202,10 @@ def main(argv=None) -> int:
         resolve_seed(0)
     except ValueError as exc:
         parser.error(str(exc))
-    return args.func(args)
+    try:  # a bad argument value is a usage error too; other exceptions keep their traceback
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

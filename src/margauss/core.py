@@ -83,20 +83,6 @@ def substream(seed: int, stream_id: int) -> RandomStream:
     return RandomStream(int(seed), int(stream_id))
 
 
-def gaussian_vector(stream: RandomStream, dim: int, count: int | None = None) -> np.ndarray:
-    """Draw a standard Gaussian vector in R^dim (or `count` of them, stacked).
-
-    Returns shape (dim,) when count is None, else (count, dim).
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if count is None:
-        return stream.normal(dim)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return stream.normal((count, dim))
-
-
 def batch_mean_se(values: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
     """Mean of per-batch means and its standard error (equal-size batches)."""
     values = np.asarray(values)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from margauss.bodies import (
     BodySpec,
     SampleBatch,
-    edge_functional,
     isotropy_report,
     klartag_variance_check,
     lp_ball_coordinate_variance,
@@ -82,7 +81,7 @@ def test_regular_simplex_rejects_small_n():
         regular_simplex(1)
 
 
-def test_edge_functional_unit_and_antisymmetric():
+def test_edge_direction_unit_and_antisymmetric():
     geom = regular_simplex(6)
     for i in range(7):
         for j in range(7):
@@ -90,12 +89,9 @@ def test_edge_functional_unit_and_antisymmetric():
                 continue
             u = geom.edge_direction(i, j)
             assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-    x = substream(9, 0).normal(6)
-    assert edge_functional(geom, x, 1, 4) == pytest.approx(
-        -edge_functional(geom, x, 4, 1), abs=1e-14
-    )
+            assert np.array_equal(geom.edge_direction(j, i), -u)
     with pytest.raises(ValueError):
-        edge_functional(geom, x, 2, 2)
+        geom.edge_direction(2, 2)
 
 
 def test_edge_reconstruction_identity():
@@ -293,3 +289,24 @@ def test_laplace_draw_finite_at_uniform_extremes():
     assert np.all(np.isfinite(pts))
     assert pts[0] == 0.0 and pts[1] == 0.0
     assert pts[2] == pytest.approx(52.0 * math.log(2.0) / math.sqrt(2.0), rel=1e-15)
+
+
+def _masked_laplace(u):
+    """The product-laplace inverse CDF in its masked form, kept as the reference."""
+    negative = u < 0.5
+    u = 2.0 * u
+    np.subtract(u, 1.0, out=u, where=~negative)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= -math.sqrt(2.0)
+    np.negative(u, out=u, where=negative)
+    return u
+
+
+def test_laplace_draw_matches_masked_inverse_cdf_bit_for_bit():
+    edges = [0.0, 0.5, np.nextafter(0.5, 0.0), 1.0 - 2.0**-53]
+    u = np.concatenate([substream(37, 0).uniform(1_000_000), edges])
+    pts = sample_body(BodySpec("product-laplace", 1), _FixedUniforms(u), len(u)).points[:, 0]
+    # Equal bit patterns: the same values and the same sign of zero (-0.0 at u = 0).
+    assert np.array_equal(pts.view(np.uint64), _masked_laplace(u).view(np.uint64))
+    assert np.signbit(pts[-4]) and not np.signbit(pts[-3])

@@ -186,6 +186,21 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
     assert "MG_SEED must be a decimal integer, got '0x1f'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["distance", "--metric", "w1", "--body", "product-gaussian", "--n", "8", "--k", "1",
+      "--frame", "haar", "--samples", "50", "--seed", "1"], "need at least 100 samples, got 50"),
+    (["verify", "pair", "--body", "product-gaussian", "--n", "8", "--k", "1",
+      "--frame", "haar", "--samples", "0"], "count must be >= 1, got 0"),
+])
+def test_bad_argument_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"margauss: error: {message}"
+    assert "Traceback" not in err
+
+
 def test_experiment_skips_failing_rows(tmp_path, capsys, caplog):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -254,6 +269,19 @@ def test_distance_draws_in_chunks_within_address_space_limit():
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.startswith("w1-1d,") and ",300000,1" in result.stdout
+
+
+def test_sliced_w1_within_address_space_limit():
+    # The 64 sliced projections of 2e6 points are a 977 MiB array if formed at
+    # once; w1_sliced projects four directions at a time and needs about 200 MB.
+    result = run_under_address_limit(
+        "sys.exit(main(['distance', '--metric', 'w1', '--body', 'product-gaussian',\n"
+        "               '--n', '16', '--k', '2', '--frame', 'haar',\n"
+        "               '--samples', '2000000', '--seed', '1']))\n",
+        1.0,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.startswith("w1-sliced,") and ",2000000,2" in result.stdout
 
 
 def test_simplex_wide_frame_pair_terms_within_address_space_limit(tmp_path):

@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
-from scipy import integrate
 
 from margauss.core import (
     ConstantsConfig,
     batch_mean_se,
     batch_var_se,
-    gaussian_vector,
     resolve_seed,
     resolve_seeds,
     substream,
 )
-
-ABS_THIRD_MOMENT = 2.0 * np.sqrt(2.0 / np.pi)  # E|Z|^3
 
 
 def test_identical_streams_replay():
@@ -57,33 +53,6 @@ def test_substream_rejects_non_integers():
         substream(1.5, 0)
     with pytest.raises(ValueError):
         substream(1, "a")
-
-
-def test_gaussian_vector_rejects_dim_zero():
-    with pytest.raises(ValueError):
-        gaussian_vector(substream(1, 0), 0)
-
-
-def test_gaussian_vector_covariance_identity():
-    pts = gaussian_vector(substream(11, 0), 3, count=1_000_000)
-    cov = pts.T @ pts / len(pts)
-    assert np.max(np.abs(cov - np.eye(3))) < 0.02
-
-
-def test_gaussian_vector_third_absolute_moment():
-    oracle, _ = integrate.quad(
-        lambda z: abs(z) ** 3 * np.exp(-z * z / 2) / np.sqrt(2 * np.pi), -12, 12
-    )
-    assert oracle == pytest.approx(ABS_THIRD_MOMENT, abs=1e-9)
-    draws = gaussian_vector(substream(13, 0), 1, count=1_000_000)[:, 0]
-    est, se = batch_mean_se(np.abs(draws) ** 3)
-    assert abs(est - oracle) < 3 * se
-
-
-def test_gaussian_vector_squared_norm_dim2():
-    pts = gaussian_vector(substream(17, 0), 2, count=1_000_000)
-    est, se = batch_mean_se(np.sum(pts**2, axis=1))
-    assert abs(est - 2.0) < 3 * se
 
 
 def test_env_seed_override(monkeypatch):
