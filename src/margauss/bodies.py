@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,11 @@ class BodySpec:
     @property
     def unconditional(self) -> bool:
         return self.kind != "simplex"
+
+    @cached_property
+    def geom(self) -> Optional["SimplexGeometry"]:
+        """The regular simplex of the simplex kind, built once per spec; None otherwise."""
+        return regular_simplex(self.n) if self.kind == "simplex" else None
 
     def label(self) -> str:
         if self.kind == "lp-ball":
@@ -162,12 +168,10 @@ def sample_body(
     spec: BodySpec,
     stream: RandomStream,
     count: int,
-    geom: Optional[SimplexGeometry] = None,
     out: Optional[np.ndarray] = None,
 ) -> SampleBatch:
     """Draw `count` iid points from the body's isotropic distribution.
 
-    For the simplex kind the geometry is built on demand when not supplied.
     With `out`, a (count, n) float64 array, the points are written there and
     the batch holds `out`. Product draws take one array of stream values per
     call, so drawing N points in pieces gives the same points as one draw of
@@ -190,9 +194,7 @@ def sample_body(
     elif spec.kind == "lp-ball":
         pts = _sample_lp_ball(spec.n, spec.p, stream, count)
     elif spec.kind == "simplex":
-        if geom is None:
-            geom = regular_simplex(n)
-        pts = geom.scale * (_simplex_weights(n, stream, count) @ geom.vertices)
+        pts = spec.geom.scale * (_simplex_weights(n, stream, count) @ spec.geom.vertices)
     else:  # pragma: no cover - guarded by BodySpec
         raise ValueError(spec.kind)
     if out is not None and pts is not out:
@@ -378,8 +380,9 @@ def simplex_moment_check(n: int, count: int, stream: RandomStream) -> SimplexMom
         raise ValueError(f"need n >= 4 so disjoint index pairs exist, got {n}")
     if count < 100_000:
         raise ValueError(f"need count >= 10^5, got {count}")
-    geom = regular_simplex(n)
-    pts = sample_body(BodySpec("simplex", n), stream, count, geom=geom).points
+    spec = BodySpec("simplex", n)
+    geom = spec.geom
+    pts = sample_body(spec, stream, count).points
     base = (n + 1.0) * (n + 2.0) / ((n + 3.0) * (n + 4.0))
     pairs = {
         "disjoint": ((0, 1), (2, 3), 1.0),

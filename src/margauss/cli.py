@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -24,12 +24,6 @@ def _csv(values) -> str:
     return ",".join(harness._format_cell(v) for v in values)
 
 
-def _body_and_geom(args) -> tuple[bodies.BodySpec, bodies.SimplexGeometry | None]:
-    spec = bodies.parse_body_kind(args.body, args.n, getattr(args, "p", None))
-    geom = bodies.regular_simplex(args.n) if spec.kind == "simplex" else None
-    return spec, geom
-
-
 def _cmd_frames(args) -> int:
     frame = frames.build_frame(args.kind, args.n, args.k, substream(resolve_seed(args.seed), 0))
     fun = frames.frame_functionals(frame)
@@ -39,20 +33,19 @@ def _cmd_frames(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec, geom = _body_and_geom(args)
-    batch = bodies.sample_body(spec, substream(resolve_seed(args.seed), 0), args.count, geom=geom)
+    spec = bodies.parse_body_kind(args.body, args.n, args.p)
+    batch = bodies.sample_body(spec, substream(resolve_seed(args.seed), 0), args.count)
     np.savetxt(args.out, batch.points, fmt="%.17g", delimiter=",")
     return 0
 
 
 def _cmd_verify_pair(args) -> int:
-    spec, geom = _body_and_geom(args)
+    spec = bodies.parse_body_kind(args.body, args.n, args.p)
     seed = resolve_seed(args.seed)
     frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 1))
-    pair = stein.PairSpec(body=spec, frame=frame, geom=geom)
-    stream = substream(seed, 0)
+    pair = stein.PairSpec(body=spec, frame=frame)
     worst_lin = worst_sec = 0.0
-    pts = bodies.sample_body(spec, stream, args.samples, geom=geom).points
+    pts = bodies.sample_body(spec, substream(seed, 0), args.samples).points
     for x in pts:
         res = stein.conditional_checks(x, pair)
         worst_lin = max(worst_lin, res.linearity_residual)
@@ -64,19 +57,16 @@ def _cmd_verify_pair(args) -> int:
     return 0 if ok else 1
 
 
-def _bound_row(report: stein.BoundReport) -> str:
-    c = report.constants_used
-    return _csv([report.source, report.d1_bound, report.dtv_bound, report.d2_bound,
-                 c.C_tv_multi, c.c_smooth, c.C_tv_simplex1d])
-
-
 def _cmd_bounds(args) -> int:
     constants = ConstantsConfig.from_json(args.constants) if args.constants else ConstantsConfig()
-    spec, geom = _body_and_geom(args)
+    spec = bodies.parse_body_kind(args.body, args.n, args.p)
     frame = frames.build_frame(args.frame, args.n, args.k, substream(resolve_seed(args.seed), 0))
-    print(_bound_row(stein.theorem_bounds(frame, geom, constants)))
+    reports = [stein.theorem_bounds(frame, spec.geom, constants)]  # thm1, or thm2 for the simplex
     if spec.kind == "simplex" and args.k == 1:
-        print(_bound_row(stein.theorem_bounds(frame, geom, constants, theorem="thm3")))
+        reports.append(stein.theorem_bounds(frame, spec.geom, constants, theorem="thm3"))
+    for report in reports:
+        print(_csv([report.source, report.d1_bound, report.dtv_bound, report.d2_bound,
+                    *astuple(constants)]))
     return 0
 
 
@@ -89,24 +79,22 @@ def _cmd_smoothing(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    spec, geom = _body_and_geom(args)
+    if args.metric != "w1" and args.k != 1:
+        raise ValueError(f"{args.metric} is a one-dimensional estimator; use k=1")
+    spec = bodies.parse_body_kind(args.body, args.n, args.p)
     seed = resolve_seed(args.seed)
     # The sweep's stream map at row 0: frame 0, sample 2, sliced directions 3.
     frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 0))
-    w = harness.projection_sampler(spec, frame, geom)(substream(seed, 2), args.samples)
-    if args.metric == "w1":
-        if args.k == 1:
-            est = metrics.w1_1d(w[:, 0])
-        else:
-            est = metrics.w1_sliced(w, harness.SLICED_DIRECTIONS, substream(seed, 3))
-    elif args.metric == "ks":
-        if args.k != 1:
-            raise SystemExit("ks is a one-dimensional estimator; use k=1")
+    pair = stein.PairSpec(body=spec, frame=frame)
+    w, _ = stein.row_pass(pair, args.samples, substream(seed, 2), pair_terms=False)
+    if args.metric == "ks":
         est = metrics.ks_1d(w[:, 0])
-    else:
-        if args.k != 1:
-            raise SystemExit("tv is a one-dimensional estimator; use k=1")
+    elif args.metric == "tv":
         est = metrics.tv_hist_1d(w[:, 0])
+    elif args.k == 1:
+        est = metrics.w1_1d(w[:, 0])
+    else:
+        est = metrics.w1_sliced(w, harness.SLICED_DIRECTIONS, substream(seed, 3))
     print(_csv([est.metric, est.value, est.se_or_bias_note, est.count, est.k]))
     return 0
 
@@ -128,6 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian approximation of marginals of symmetric convex bodies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The marginal that verify pair, bounds and distance work on.
+    marginal = argparse.ArgumentParser(add_help=False)
+    marginal.add_argument("--body", required=True)
+    marginal.add_argument("--n", required=True, type=int)
+    marginal.add_argument("--k", required=True, type=int)
+    marginal.add_argument("--frame", required=True, choices=["walsh", "haar", "coordinate"])
+    marginal.add_argument("--p", type=float, default=None, help="exponent for lp-ball bodies")
 
     p = sub.add_parser("frames", help="print frame functionals as a CSV row")
     p.add_argument("--kind", required=True, choices=["walsh", "haar", "coordinate"])
@@ -147,24 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification subcommands")
     verify_sub = p.add_subparsers(dest="verify_command", required=True)
-    vp = verify_sub.add_parser("pair", help="check the exchangeable-pair conditional identities")
-    vp.add_argument("--body", required=True)
-    vp.add_argument("--n", required=True, type=int)
-    vp.add_argument("--k", required=True, type=int)
-    vp.add_argument("--frame", required=True, choices=["walsh", "haar", "coordinate"])
+    vp = verify_sub.add_parser("pair", parents=[marginal],
+                               help="check the exchangeable-pair conditional identities")
     vp.add_argument("--samples", type=int, default=100)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--p", type=float, default=None)
     vp.set_defaults(func=_cmd_verify_pair)
 
-    p = sub.add_parser("bounds", help="print closed-form bound rows")
-    p.add_argument("--body", required=True)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--frame", required=True, choices=["walsh", "haar", "coordinate"])
+    p = sub.add_parser("bounds", parents=[marginal], help="print closed-form bound rows")
     p.add_argument("--constants", default=None, help="JSON file overriding the constants")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("smoothing", help="L1 mollification distance versus its bound")
@@ -172,15 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, type=float)
     p.set_defaults(func=_cmd_smoothing)
 
-    p = sub.add_parser("distance", help="empirical distance of a projected sample to N(0,1)")
+    p = sub.add_parser("distance", parents=[marginal],
+                       help="empirical distance of a projected sample to N(0,1)")
     p.add_argument("--metric", required=True, choices=["w1", "ks", "tv"])
-    p.add_argument("--body", required=True)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--frame", required=True, choices=["walsh", "haar", "coordinate"])
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--p", type=float, default=None)
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("experiment", help="run a sweep from a config file and write CSV")

@@ -9,7 +9,7 @@ streams and merged deterministically in stream_id order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -112,21 +112,27 @@ class ConstantsConfig:
     """
 
     C_tv_multi: float = 1.0
-    c_smooth: float = 1.0
     C_tv_simplex1d: float = 1.0
 
     def __post_init__(self):
-        for name in ("C_tv_multi", "c_smooth", "C_tv_simplex1d"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+                raise ValueError(f"{f.name} must be a strictly positive number, got {value!r}")
+
+    @classmethod
+    def from_dict(cls, data) -> "ConstantsConfig":
+        """Build from a JSON object, as in a constants file or a config's constants block."""
+        if not isinstance(data, dict):
+            raise ValueError(f"constants must be a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown constants keys: {sorted(unknown)}")
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path) -> "ConstantsConfig":
         import json
 
         with open(path) as fh:
-            data = json.load(fh)
-        unknown = set(data) - {"C_tv_multi", "c_smooth", "C_tv_simplex1d"}
-        if unknown:
-            raise ValueError(f"unknown constants keys: {sorted(unknown)}")
-        return cls(**data)
+            return cls.from_dict(json.load(fh))

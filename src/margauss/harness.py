@@ -3,8 +3,9 @@
 A sweep enumerates (body, n, k, frame, seed) combinations in sorted order,
 computes closed-form and semi-empirical bounds next to empirical distances,
 and emits a deterministic CSV: identical config and seeds give byte-identical
-files. Invalid combinations, and rows whose computation raises a ValueError,
-are skipped with a logged reason, never silently.
+files. A row whose computation raises a ValueError, as every invalid
+combination does when its body or frame is built, is skipped with a logged
+reason, never silently.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .bodies import BodySpec, SimplexGeometry, parse_body_kind, regular_simplex
-from .core import ConstantsConfig, RandomStream, substream
-from .frames import Frame, build_frame, frame_functionals, largest_power_of_two
+from .bodies import parse_body_kind
+from .core import ConstantsConfig, substream
+from .frames import build_frame, frame_functionals
 from .metrics import ks_1d, tv_hist_1d, w1_1d, w1_sliced
 from .stein import PairSpec, corollary_bounds, row_pass, theorem_bounds
 
@@ -42,6 +43,16 @@ SLICED_DIRECTIONS = 64
 _ELEMENTS_PER_SECOND = 1.2e8
 
 
+# The list fields of a config and the type of their items.
+_LIST_FIELDS = {"bodies": str, "ns": int, "ks": int, "frames": str, "seeds": int, "metrics": str}
+
+
+def _is(kind: type, value) -> bool:
+    """isinstance for JSON config values: a bool is no number, an int is a float."""
+    numbers = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+    return isinstance(value, numbers.get(kind, kind)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     bodies: tuple[str, ...]
@@ -55,14 +66,19 @@ class ExperimentConfig:
     max_row_seconds: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("bodies", "ns", "ks", "frames", "seeds", "metrics"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, kind in _LIST_FIELDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(_is(kind, v) for v in value):
+                raise ValueError(f"{name} must be a list of {kind.__name__} values, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if not (self.bodies and self.ns and self.ks and self.frames):
             raise ValueError("bodies, ns, ks, and frames must all be nonempty")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        if not _is(int, self.samples) or self.samples < 1:
+            raise ValueError(f"samples must be a positive int, got {self.samples!r}")
+        if self.max_row_seconds is not None and not _is(float, self.max_row_seconds):
+            raise ValueError(f"max_row_seconds must be a number, got {self.max_row_seconds!r}")
         bad = set(self.metrics) - set(METRIC_CHOICES)
         if bad:
             raise ValueError(f"unknown metrics {sorted(bad)}; choose from {METRIC_CHOICES}")
@@ -71,12 +87,13 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a config must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "constants" in data:
-            data["constants"] = ConstantsConfig(**data["constants"])
+            data["constants"] = ConstantsConfig.from_dict(data["constants"])
         return cls(**data)
 
 
@@ -101,23 +118,6 @@ class ResultRow:
     runtime_ms: Optional[float]
 
 
-def _validate_combo(body: str, n: int, k: int, frame_kind: str) -> Optional[str]:
-    """Return a skip reason for an invalid combination, or None."""
-    try:
-        parse_body_kind(body, n)
-    except ValueError as exc:
-        return str(exc)
-    if k > n:
-        return f"k={k} exceeds n={n}"
-    if frame_kind == "walsh":
-        m = largest_power_of_two(n)
-        if k > m:
-            return f"walsh frame supports k <= {m} for n={n}, got k={k}"
-    if frame_kind not in ("walsh", "haar", "coordinate"):
-        return f"unknown frame kind {frame_kind!r}"
-    return None
-
-
 def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> list[ResultRow]:
     """One ResultRow per valid (body, n, k, frame, seed) combination.
 
@@ -131,13 +131,6 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     )
     rows = []
     for idx, (body_kind, n, k, frame_kind, seed) in enumerate(combos):
-        reason = _validate_combo(body_kind, n, k, frame_kind)
-        if reason is not None:
-            logger.warning(
-                "skipping combination body=%s n=%d k=%d frame=%s seed=%d: %s",
-                body_kind, n, k, frame_kind, seed, reason,
-            )
-            continue
         started = time.perf_counter() if measure_runtime else None
         try:
             row = _compute_row(config, idx, body_kind, n, k, frame_kind, seed)
@@ -171,10 +164,9 @@ def _compute_row(
     config: ExperimentConfig, idx: int, body_kind: str, n: int, k: int, frame_kind: str, seed: int
 ) -> ResultRow:
     body = parse_body_kind(body_kind, n)
-    geom = regular_simplex(n) if body.kind == "simplex" else None
     frame = build_frame(frame_kind, n, k, substream(seed, 4 * idx))
-    fun = frame_functionals(frame, geom)
-    thm = theorem_bounds(frame, geom, config.constants)
+    fun = frame_functionals(frame, body.geom)
+    thm = theorem_bounds(frame, body.geom, config.constants)
     n_samples = _row_samples(config, n, body_kind)
 
     pair_terms = n_samples >= 10_000
@@ -185,10 +177,10 @@ def _compute_row(
         )
     bound_d1_cor = bound_dtv_cor = None
     if pair_terms or config.metrics:
-        spec = PairSpec(body=body, frame=frame, geom=geom)
+        spec = PairSpec(body=body, frame=frame)
         w, stats = row_pass(spec, n_samples, substream(seed, 4 * idx + 2), pair_terms)
     if pair_terms:
-        cor = corollary_bounds(stats, k, spec.lam, config.constants)
+        cor = corollary_bounds(stats, config.constants)
         bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
 
     emp_w1 = emp_w1_se = emp_ks = emp_tv = None
@@ -229,18 +221,6 @@ def _compute_row(
         emp_tv=emp_tv,
         runtime_ms=None,
     )
-
-
-def projection_sampler(
-    body: BodySpec, frame: Frame, geom: Optional[SimplexGeometry]
-) -> Callable[[RandomStream, int], np.ndarray]:
-    """Return draw(stream, count), the (count, k) projection of `count` body draws.
-
-    The draws go through the row pass without its pair terms, so they are
-    taken in chunks and memory stays O(chunk * n + count * k).
-    """
-    spec = PairSpec(body=body, frame=frame, geom=geom)
-    return lambda stream, count: row_pass(spec, count, stream, pair_terms=False)[0]
 
 
 @dataclass(frozen=True)

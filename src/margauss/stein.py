@@ -33,7 +33,6 @@ import numpy as np
 from .bodies import (
     BodySpec,
     SimplexGeometry,
-    regular_simplex,
     sample_body,
     simplex_vertex_coords,
     vertex_projection,
@@ -58,29 +57,21 @@ _TILE_BUDGET = 131_072
 
 @dataclass(frozen=True)
 class PairSpec:
-    """One exchangeable-pair configuration: body, frame, and coupling rate."""
+    """One exchangeable-pair configuration: a body and a frame of the same dimension."""
 
     body: BodySpec
     frame: Frame
-    geom: Optional[SimplexGeometry] = None
-    lam: float = 0.0
 
     def __post_init__(self):
         if self.frame.n != self.body.n:
             raise ValueError(
                 f"frame dimension {self.frame.n} != body dimension {self.body.n}"
             )
-        if self.body.kind == "simplex":
-            geom = self.geom if self.geom is not None else regular_simplex(self.body.n)
-            if geom.n != self.body.n:
-                raise ValueError("geometry dimension mismatch")
-            object.__setattr__(self, "geom", geom)
-        elif self.geom is not None:
-            raise ValueError("geometry is only meaningful for the simplex body")
-        lam = 2.0 / self.body.n
-        if self.lam not in (0.0, lam):
-            raise ValueError(f"lambda must equal 2/n = {lam}")
-        object.__setattr__(self, "lam", lam)
+
+    @property
+    def lam(self) -> float:
+        """The coupling rate of both pairs, 2/n."""
+        return 2.0 / self.body.n
 
     @property
     def k(self) -> int:
@@ -134,7 +125,7 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     w = project(spec.frame, x)
     eye = np.eye(k)
     if spec.body.kind == "simplex":
-        v = spec.geom.vertices
+        v = spec.body.geom.vertices
         gamma = v @ x
         alpha = rows @ v.T
         c2 = n / (2.0 * (n + 1.0))
@@ -246,7 +237,7 @@ def row_pass(
 
     simplex = spec.body.kind == "simplex"
     if simplex:
-        alpha = rows @ spec.geom.vertices.T  # (k, n+1)
+        alpha = rows @ spec.body.geom.vertices.T  # (k, n+1)
         edge_coef = math.sqrt(n / (2.0 * (n + 1.0)))
         m = n + 1  # gamma holds one coordinate per vertex
     else:
@@ -277,7 +268,7 @@ def row_pass(
             pts = body[lo : lo + t]
             w_tile = w[done + lo : done + lo + t]
             if simplex:
-                simplex_vertex_coords(spec.geom, stream, t, out=pts)
+                simplex_vertex_coords(spec.body.geom, stream, t, out=pts)
                 w_tile[...] = vertex_projection(pts, alpha)
                 if pair_terms:  # ordered-pair edge sums
                     norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts)
@@ -345,7 +336,6 @@ class BoundReport:
     d1_bound: Optional[float] = None
     dtv_bound: Optional[float] = None
     d2_bound: Optional[float] = None
-    constants_used: ConstantsConfig = ConstantsConfig()
 
     def __post_init__(self):
         if self.source not in BOUND_SOURCES:
@@ -377,7 +367,6 @@ def theorem_bounds(
             source="thm1",
             d1_bound=14.0 * math.sqrt(k * fun.l4_sum),
             dtv_bound=constants.C_tv_multi * k ** (5.0 / 6.0) * fun.l4_sum ** (1.0 / 3.0),
-            constants_used=constants,
         )
     if geom is None:
         raise ValueError(f"{theorem} requires a simplex geometry")
@@ -387,23 +376,18 @@ def theorem_bounds(
             source="thm2",
             d1_bound=20.0 * math.sqrt(k * q),
             dtv_bound=constants.C_tv_multi * k ** (5.0 / 6.0) * q ** (1.0 / 3.0),
-            constants_used=constants,
         )
     if theorem == "thm3":
         if k != 1:
             raise ValueError("thm3 applies to one-dimensional marginals only")
         return BoundReport(
-            source="thm3",
-            dtv_bound=constants.C_tv_simplex1d * math.sqrt(fun.simplex_cubic),
-            constants_used=constants,
+            source="thm3", dtv_bound=constants.C_tv_simplex1d * math.sqrt(fun.simplex_cubic)
         )
     raise ValueError(f"unknown theorem {theorem!r}")
 
 
 def corollary_bounds(
     stats: PairStatistics,
-    k: int,
-    lam: float,
     constants: Optional[ConstantsConfig] = None,
     source: str = "cor-wass-tv",
 ) -> BoundReport:
@@ -413,25 +397,24 @@ def corollary_bounds(
     total-variation combination; cor-tv-univ is the k = 1 total-variation
     bound using the X-conditioned variance proxy, reported as an upper bound
     on the W-conditioned quantity; prop-cm-d2 is the smooth-metric bound with
-    unit test-function norms.
+    unit test-function norms. k and lambda are those of the statistics.
     """
     constants = constants or ConstantsConfig()
-    if k != stats.k or lam != stats.lam:
-        raise ValueError("k or lambda inconsistent with the supplied statistics")
+    k, lam = stats.k, stats.lam
     if source == "cor-wass-tv":
         d1 = stats.term_E + k**0.25 * math.sqrt(2.0 * stats.term_M3 / (3.0 * lam))
         dtv = constants.C_tv_multi * (
             k * stats.term_E + k**2 * stats.term_M3 / lam
         ) ** (1.0 / 3.0)
-        return BoundReport(source=source, d1_bound=d1, dtv_bound=dtv, constants_used=constants)
+        return BoundReport(source=source, d1_bound=d1, dtv_bound=dtv)
     if source == "cor-tv-univ":
         if k != 1:
             raise ValueError("cor-tv-univ applies to one-dimensional marginals only")
         if stats.condvar_proxy is None:
             raise ValueError("cor-tv-univ needs the conditional-variance proxy")
         dtv = math.sqrt(stats.condvar_proxy) / lam + 2.0 * math.sqrt(stats.term_M3 / lam)
-        return BoundReport(source=source, dtv_bound=dtv, constants_used=constants)
+        return BoundReport(source=source, dtv_bound=dtv)
     if source == "prop-cm-d2":
         d2 = stats.term_E + math.sqrt(2.0 * math.pi) / (24.0 * lam) * stats.term_M3
-        return BoundReport(source=source, d2_bound=d2, constants_used=constants)
+        return BoundReport(source=source, d2_bound=d2)
     raise ValueError(f"no bound formula is emitted for source {source!r}")

@@ -69,10 +69,9 @@ def test_criterion_1_exact_stein_conditions():
         for n in (4, 16, 64):
             for k in (1, 3):
                 body = BodySpec(kind, n)
-                geom = regular_simplex(n) if kind == "simplex" else None
                 frame = haar_frame(n, k, substream(101, n * 10 + k))
-                spec = PairSpec(body=body, frame=frame, geom=geom)
-                pts = sample_body(body, substream(102, n * 10 + k), 100, geom=geom).points
+                spec = PairSpec(body=body, frame=frame)
+                pts = sample_body(body, substream(102, n * 10 + k), 100).points
                 for x in pts:
                     res = conditional_checks(x, spec)
                     worst = max(worst, res.linearity_residual, res.second_moment_residual)
@@ -184,14 +183,11 @@ def test_criterion_7_proof_chain_inequalities():
             ok &= stats.term_E <= 8 * math.sqrt(2) * fun.l4_sum + 3 * stats.term_E_se
             ok &= stats.term_M3 <= (12 * math.sqrt(2) / n) * fun.l3_sum**1.5 + 3 * stats.term_M3_se
 
-            geom = regular_simplex(n)
             sspec = PairSpec(
-                body=BodySpec("simplex", n),
-                frame=haar_frame(n, k, substream(110, n + k)),
-                geom=geom,
+                body=BodySpec("simplex", n), frame=haar_frame(n, k, substream(110, n + k))
             )
             sstats = estimate_pair_terms(sspec, 100_000, substream(111, n + k))
-            q = frame_functionals(sspec.frame, geom).simplex_quartic
+            q = frame_functionals(sspec.frame, sspec.body.geom).simplex_quartic
             ok &= sstats.term_E <= 8 * math.sqrt(2) * q + 3 * sstats.term_E_se
             ok &= sstats.term_M3 <= (96 * math.sqrt(k) / (n + 1)) * q + 3 * sstats.term_M3_se
             details.append(f"n={n} k={k} ok={ok}")

@@ -118,8 +118,9 @@ def test_simplex_isotropy():
 
 
 def test_simplex_samples_stay_in_body():
-    geom = regular_simplex(8)
-    batch = sample_body(BodySpec("simplex", 8), substream(23, 0), 10_000, geom=geom)
+    spec = BodySpec("simplex", 8)
+    geom = spec.geom
+    batch = sample_body(spec, substream(23, 0), 10_000)
     norms = np.linalg.norm(batch.points, axis=1)
     assert norms.max() <= geom.scale * (1 + 1e-12)
     coords = barycentric(geom, batch.points)

@@ -13,7 +13,7 @@ import margauss
 from margauss import bodies
 from margauss.cli import main
 from margauss.core import substream
-from margauss.harness import read_result_csv
+from margauss.harness import ExperimentConfig, read_result_csv, run_experiment
 
 
 def run_cli(capsys, *argv):
@@ -80,8 +80,9 @@ def test_bounds_rows_simplex_k1(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0].startswith("thm2,")
     assert lines[1].startswith("thm3,")
+    # source,d1_bound,dtv_bound,d2_bound,C_tv_multi,C_tv_simplex1d
     thm3_cells = lines[1].split(",")
-    assert float(thm3_cells[6]) == 2.0  # C_tv_simplex1d column
+    assert thm3_cells[4:] == ["1", "2"]
 
 
 def test_bounds_product_body(capsys):
@@ -148,6 +149,27 @@ def test_experiment_constants_override(tmp_path, capsys):
     assert row_scaled.bound_d1_thm == row_base.bound_d1_thm
 
 
+@pytest.mark.parametrize("metric, body, n, k, frame", [
+    ("w1", "product-uniform", 16, 1, "walsh"),
+    ("w1", "product-laplace", 16, 2, "haar"),
+    ("ks", "product-gaussian", 8, 1, "haar"),
+    ("tv", "lp-ball(1.5)", 8, 1, "coordinate"),
+    ("w1", "simplex", 12, 1, "haar"),
+])
+def test_distance_reproduces_sweep_row_0(capsys, metric, body, n, k, frame):
+    seed, count = 9, 20_000
+    config = ExperimentConfig(bodies=(body,), ns=(n,), ks=(k,), frames=(frame,),
+                              samples=count, seeds=(seed,), metrics=(metric,))
+    row = run_experiment(config)[0]
+    code, out = run_cli(
+        capsys, "distance", "--metric", metric, "--body", body, "--n", str(n), "--k", str(k),
+        "--frame", frame, "--samples", str(count), "--seed", str(seed),
+    )
+    assert code == 0
+    expected = {"w1": row.emp_w1, "ks": row.emp_ks, "tv": row.emp_tv}[metric]
+    assert float(out.split(",")[1]) == expected
+
+
 def test_distance_samples_apart_from_the_frame_stream(capsys, monkeypatch):
     # The Haar frame orthonormalises the first Gaussian rows of stream 0; the
     # sample must come from another stream, so it is not one of those rows.
@@ -172,12 +194,6 @@ def test_distance_samples_apart_from_the_frame_stream(capsys, monkeypatch):
     assert np.array_equal(first_point, substream(5, 2).normal(8))
 
 
-def test_distance_rejects_multidimensional_ks(capsys):
-    with pytest.raises(SystemExit):
-        main(["distance", "--metric", "ks", "--body", "product-gaussian", "--n", "8",
-              "--k", "2", "--frame", "walsh", "--samples", "500", "--seed", "1"])
-
-
 def test_env_seed_must_be_decimal(capsys, monkeypatch):
     monkeypatch.setenv("MG_SEED", "0x1f")
     with pytest.raises(SystemExit) as exc:
@@ -191,6 +207,12 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
       "--frame", "haar", "--samples", "50", "--seed", "1"], "need at least 100 samples, got 50"),
     (["verify", "pair", "--body", "product-gaussian", "--n", "8", "--k", "1",
       "--frame", "haar", "--samples", "0"], "count must be >= 1, got 0"),
+    (["distance", "--metric", "ks", "--body", "product-gaussian", "--n", "8", "--k", "2",
+      "--frame", "walsh", "--samples", "500", "--seed", "1"],
+     "ks is a one-dimensional estimator; use k=1"),
+    (["distance", "--metric", "tv", "--body", "simplex", "--n", "8", "--k", "2",
+      "--frame", "haar", "--samples", "500", "--seed", "1"],
+     "tv is a one-dimensional estimator; use k=1"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -199,6 +221,47 @@ def test_bad_argument_is_a_usage_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"margauss: error: {message}"
     assert "Traceback" not in err
+
+
+SMALL_CONFIG = {"bodies": ["product-uniform"], "ns": [16], "ks": [1], "frames": ["walsh"],
+                "samples": 500, "seeds": [2], "metrics": []}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("samples", 2e4, "samples must be a positive int, got 20000.0"),
+    ("ns", [16.0], "ns must be a list of int values, got [16.0]"),
+    ("bodies", "simplex", "bodies must be a list of str values, got 'simplex'"),
+    ("constants", {"C_tv": 2}, "unknown constants keys: ['C_tv']"),
+    ("constants", {"C_tv_multi": 2, "c_smooth": 1}, "unknown constants keys: ['c_smooth']"),
+])
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, key, value, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, key: value}))
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", str(config), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"margauss: error: {message}"
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "experiment"])
+def test_constants_file_with_c_smooth_is_a_usage_error(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    constants = tmp_path / "constants.json"
+    constants.write_text(json.dumps({"C_tv_multi": 2.0, "c_smooth": 1.0}))
+    argv = {
+        "bounds": ["bounds", "--body", "simplex", "--n", "8", "--k", "1", "--frame", "haar"],
+        "experiment": ["experiment", "--config", str(config), "--out", str(tmp_path / "r.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--constants", str(constants)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "margauss: error: unknown constants keys: ['c_smooth']"
+    )
 
 
 def test_experiment_skips_failing_rows(tmp_path, capsys, caplog):

@@ -66,22 +66,26 @@ def test_env_seed_override(monkeypatch):
 
 def test_constants_config_defaults_and_validation():
     c = ConstantsConfig()
-    assert c.C_tv_multi == c.c_smooth == c.C_tv_simplex1d == 1.0
+    assert c.C_tv_multi == c.C_tv_simplex1d == 1.0
     with pytest.raises(ValueError):
         ConstantsConfig(C_tv_multi=0.0)
     with pytest.raises(ValueError):
-        ConstantsConfig(c_smooth=-1.0)
+        ConstantsConfig(C_tv_simplex1d=-1.0)
+    with pytest.raises(ValueError, match="C_tv_multi must be a strictly positive number"):
+        ConstantsConfig(C_tv_multi="2")
 
 
 def test_constants_config_from_json(tmp_path):
     path = tmp_path / "constants.json"
     path.write_text('{"C_tv_multi": 2.5}')
     c = ConstantsConfig.from_json(path)
-    assert c.C_tv_multi == 2.5 and c.c_smooth == 1.0
+    assert c.C_tv_multi == 2.5 and c.C_tv_simplex1d == 1.0
     bad = tmp_path / "bad.json"
     bad.write_text('{"C_what": 1.0}')
     with pytest.raises(ValueError):
         ConstantsConfig.from_json(bad)
+    with pytest.raises(ValueError, match="constants must be a JSON object"):
+        ConstantsConfig.from_dict([1.0])
 
 
 def test_batch_helpers():

@@ -104,7 +104,8 @@ def test_invalid_combos_skipped_with_log(caplog):
     with caplog.at_level(logging.WARNING):
         rows = run_experiment(config)
     assert len(rows) == 1
-    assert any("walsh frame supports k <= 64" in rec.getMessage() for rec in caplog.records)
+    assert any("walsh frame needs k <= m where m = 64" in rec.getMessage()
+               for rec in caplog.records)
 
 
 def test_ks_and_tv_only_for_k1(caplog):
@@ -190,7 +191,7 @@ def test_row_pair_bounds_match_estimate_pair_terms():
         frame=build_frame("haar", n, 2, substream(seed, 4 * idx)),
     )
     stats = estimate_pair_terms(spec, count, substream(seed, 4 * idx + 2))
-    cor = corollary_bounds(stats, 2, spec.lam)
+    cor = corollary_bounds(stats)
     assert row.n == n
     assert row.bound_d1_cor == cor.d1_bound
     assert row.bound_dtv_cor == cor.dtv_bound

@@ -36,12 +36,11 @@ RESIDUAL_TOL = 1e-10
 
 def make_spec(kind, n, k, seed=0, frame_kind="haar"):
     body = BodySpec(kind, n)
-    geom = regular_simplex(n) if kind == "simplex" else None
     if frame_kind == "walsh":
         frame = walsh_frame(n, k)
     else:
         frame = haar_frame(n, k, substream(seed, 777))
-    return PairSpec(body=body, frame=frame, geom=geom)
+    return PairSpec(body=body, frame=frame)
 
 
 def test_reflect_pair_hand_example():
@@ -96,8 +95,9 @@ def test_transpose_pair_triangle_vertex_fixed():
 
 
 def test_transposition_is_isometry():
-    geom = regular_simplex(6)
-    x = sample_body(BodySpec("simplex", 6), substream(42, 0), 1, geom=geom).points[0]
+    spec = BodySpec("simplex", 6)
+    geom = spec.geom
+    x = sample_body(spec, substream(42, 0), 1).points[0]
     u = geom.edge_direction(2, 5)
     x_prime = x - 2.0 * (x @ u) * u
     assert abs(np.linalg.norm(x_prime) - np.linalg.norm(x)) < 1e-12
@@ -112,21 +112,19 @@ def test_pair_spec_validation():
     frame = walsh_frame(8, 2)
     spec = PairSpec(body=body, frame=frame)
     assert spec.lam == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        PairSpec(body=body, frame=frame, lam=0.3)
-    with pytest.raises(ValueError):
-        PairSpec(body=body, frame=frame, geom=regular_simplex(8))
+    assert spec.body.geom is None
     with pytest.raises(ValueError):
         PairSpec(body=BodySpec("product-uniform", 9), frame=frame)
     simplex_spec = PairSpec(body=BodySpec("simplex", 8), frame=frame)
-    assert simplex_spec.geom is not None
+    assert simplex_spec.body.geom is simplex_spec.body.geom
+    assert simplex_spec.body.geom.n == 8
 
 
 @pytest.mark.parametrize("kind", ["product-uniform", "simplex"])
 @pytest.mark.parametrize("n,k", [(16, 3), (8, 2)])
 def test_conditional_checks_exact(kind, n, k):
     spec = make_spec(kind, n, k, seed=n * 7 + k)
-    pts = sample_body(spec.body, substream(43, n + k), 25, geom=spec.geom).points
+    pts = sample_body(spec.body, substream(43, n + k), 25).points
     for x in pts:
         res = conditional_checks(x, spec)
         assert res.linearity_residual < RESIDUAL_TOL
@@ -135,7 +133,7 @@ def test_conditional_checks_exact(kind, n, k):
 
 def test_simplex_checks_enumerate_in_vertex_blocks(monkeypatch):
     spec = make_spec("simplex", 16, 3, seed=9)
-    pts = sample_body(spec.body, substream(44, 16), 5, geom=spec.geom).points
+    pts = sample_body(spec.body, substream(44, 16), 5).points
     monkeypatch.setattr(stein, "_CHUNK_BUDGET", 3 * 17 * 4)  # 4 vertices a block: 5 blocks
     for x in pts:
         res = conditional_checks(x, spec)
@@ -189,7 +187,7 @@ def test_proof_chain_product(n, k):
 def test_proof_chain_simplex(n, k):
     spec = make_spec("simplex", n, k, seed=n + k)
     stats = estimate_pair_terms(spec, 50_000, substream(47, n + k))
-    fun = frame_functionals(spec.frame, spec.geom)
+    fun = frame_functionals(spec.frame, spec.body.geom)
     q = fun.simplex_quartic
     assert stats.term_E <= 8 * math.sqrt(2) * q + 3 * stats.term_E_se
     m3_bound = (96 * math.sqrt(k) / (n + 1)) * q
@@ -237,7 +235,7 @@ def test_corollary_formula_substitution():
     a, b, n = 0.3, 0.02, 50
     lam = 2.0 / n
     stats = synthetic_stats(a, b, 1, n)
-    report = corollary_bounds(stats, 1, lam)
+    report = corollary_bounds(stats)
     assert report.d1_bound == pytest.approx(a + math.sqrt(2 * b / (3 * lam)))
     assert report.dtv_bound == pytest.approx((a + b / lam) ** (1 / 3))
 
@@ -246,22 +244,20 @@ def test_corollary_tv_univ_formula_and_guards():
     n = 50
     lam = 2.0 / n
     stats = synthetic_stats(0.3, 0.02, 1, n, condvar=0.0004)
-    report = corollary_bounds(stats, 1, lam, source="cor-tv-univ")
+    report = corollary_bounds(stats, source="cor-tv-univ")
     assert report.dtv_bound == pytest.approx(math.sqrt(0.0004) / lam + 2 * math.sqrt(0.02 / lam))
     stats2 = synthetic_stats(0.3, 0.02, 2, n)
     with pytest.raises(ValueError):
-        corollary_bounds(stats2, 2, lam, source="cor-tv-univ")
+        corollary_bounds(stats2, source="cor-tv-univ")
     with pytest.raises(ValueError):
-        corollary_bounds(stats, 1, lam, source="prop-stein")
-    with pytest.raises(ValueError):
-        corollary_bounds(stats, 2, lam)
+        corollary_bounds(stats, source="prop-stein")
 
 
 def test_prop_cm_d2_formula():
     n = 40
     lam = 2.0 / n
     stats = synthetic_stats(0.5, 0.01, 2, n)
-    report = corollary_bounds(stats, 2, lam, source="prop-cm-d2")
+    report = corollary_bounds(stats, source="prop-cm-d2")
     assert report.d2_bound == pytest.approx(0.5 + math.sqrt(2 * math.pi) / (24 * lam) * 0.01)
 
 
@@ -270,7 +266,7 @@ def test_gaussian_sanity_bound_positive():
         body=BodySpec("product-gaussian", 32), frame=haar_frame(32, 2, substream(48, 0))
     )
     stats = estimate_pair_terms(spec, 20_000, substream(48, 1))
-    report = corollary_bounds(stats, 2, spec.lam)
+    report = corollary_bounds(stats)
     assert np.isfinite(report.d1_bound) and report.d1_bound > 0
 
 
@@ -278,8 +274,8 @@ def test_gaussian_sanity_bound_positive():
 def test_corollary_below_theorem_d1(kind, frame_kind):
     spec = make_spec(kind, 64, 2, seed=5, frame_kind=frame_kind)
     stats = estimate_pair_terms(spec, 50_000, substream(49, 0))
-    cor = corollary_bounds(stats, 2, spec.lam)
-    thm = theorem_bounds(spec.frame, spec.geom)
+    cor = corollary_bounds(stats)
+    thm = theorem_bounds(spec.frame, spec.body.geom)
     assert cor.d1_bound <= thm.d1_bound * (1 + 3 * stats.term_E_se / max(stats.term_E, 1e-12))
 
 
@@ -289,7 +285,7 @@ def test_tv_univ_bound_decreases_with_dimension():
     for n in (50, 100, 200):
         spec = make_spec("simplex", n, 1, seed=n)
         stats = estimate_pair_terms(spec, 20_000, substream(50, n))
-        report = corollary_bounds(stats, 1, spec.lam, source="cor-tv-univ")
+        report = corollary_bounds(stats, source="cor-tv-univ")
         values.append(report.dtv_bound)
         ses.append(stats.term_M3_se + (stats.condvar_proxy_se or 0.0))
     assert values[1] < values[0] + 3 * (ses[0] + ses[1])
@@ -308,9 +304,9 @@ def test_bound_report_validation():
 def edge_reference(spec, stream, count):
     """term_E, term_M3 and condvar_proxy by enumerating every edge u_ab (one chunk)."""
     n, k = spec.n, spec.k
-    _, _, u = spec.geom.unordered_edge_matrix()
+    _, _, u = spec.body.geom.unordered_edge_matrix()
     t = spec.frame.rows @ u.T
-    pts = sample_body(spec.body, stream, count, geom=spec.geom).points
+    pts = sample_body(spec.body, stream, count).points
     sq = (pts @ u.T) ** 2
     s = 2.0 * np.einsum("cp,ip,jp->cij", sq, t, t).reshape(count, k * k)
     e = (4.0 / n) * (s / (n + 1.0) - np.eye(k).ravel())
@@ -370,7 +366,7 @@ def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
     monkeypatch.setattr(stein, "_CHUNK_BUDGET", 1_700 * (n + 1))  # three chunks
     spec = make_spec("simplex", n, k, seed=55)
     w, stats = row_pass(spec, 5_000, substream(56, n), pair_terms=False)
-    pts = sample_body(spec.body, substream(56, n), 5_000, geom=spec.geom).points
+    pts = sample_body(spec.body, substream(56, n), 5_000).points
     assert stats is None
     assert np.max(np.abs(w - project(spec.frame, pts))) <= 1e-12
 
