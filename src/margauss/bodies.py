@@ -175,7 +175,8 @@ def sample_body(
     With `out`, a (count, n) float64 array, the points are written there and
     the batch holds `out`. Product draws take one array of stream values per
     call, so drawing N points in pieces gives the same points as one draw of
-    N; lp-ball draws take three arrays and depend on how N is split.
+    N; lp-ball draws take three arrays, so lp-ball points depend on how N is
+    split (the row pass splits it into tiles).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -86,7 +86,7 @@ def _cmd_distance(args) -> int:
     # The sweep's stream map at row 0: frame 0, sample 2, sliced directions 3.
     frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 0))
     pair = stein.PairSpec(body=spec, frame=frame)
-    w, _ = stein.row_pass(pair, args.samples, substream(seed, 2), pair_terms=False)
+    w, _ = stein.row_pass(pair, args.samples, substream(seed, 2))
     if args.metric == "ks":
         est = metrics.ks_1d(w[:, 0])
     elif args.metric == "tv":

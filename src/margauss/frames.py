@@ -112,33 +112,21 @@ def coordinate_frame(n: int, k: int) -> Frame:
 def haar_frame(n: int, k: int, stream: RandomStream) -> Frame:
     """Orthonormalized iid Gaussian rows; Haar-distributed on the Stiefel manifold.
 
-    Modified Gram-Schmidt with a re-orthogonalization pass. Raw signs are
-    kept: forcing a sign convention would break rotation invariance.
+    Householder QR of the (n, k) transpose, with the signs of diag(R) moved
+    into Q (Mezzadri, arXiv:math-ph/0609050): this is the Gram-Schmidt frame
+    of the rows, whose R has a positive diagonal, so no sign convention is
+    forced on the draw and rotation invariance holds.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     for attempt in range(2):
         g = stream.normal((k, n))
-        rows = _modified_gram_schmidt(g)
-        if rows is not None:
-            return Frame(rows, kind="haar")
+        q, r = np.linalg.qr(g.T)
+        diag = np.diagonal(r)
+        # |R_ii| is row i's norm after removing rows 0..i-1: rank-deficient if tiny.
+        if np.all(np.abs(diag) >= 1e-8 * np.maximum(np.linalg.norm(g, axis=1), 1.0)):
+            return Frame(np.ascontiguousarray((q * np.sign(diag)).T), kind="haar")
     raise RuntimeError("rank-deficient Gaussian draw twice in a row")
-
-
-def _modified_gram_schmidt(g: np.ndarray) -> np.ndarray | None:
-    k, n = g.shape
-    q = np.empty_like(g, dtype=np.float64)
-    for i in range(k):
-        v = g[i].astype(np.float64)
-        scale = np.linalg.norm(v)
-        for _ in range(2):
-            for j in range(i):
-                v -= (v @ q[j]) * q[j]
-        norm = np.linalg.norm(v)
-        if norm < 1e-8 * max(scale, 1.0):
-            return None
-        q[i] = v / norm
-    return q
 
 
 def build_frame(kind: str, n: int, k: int, stream: RandomStream) -> Frame:

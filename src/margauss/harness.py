@@ -169,17 +169,17 @@ def _compute_row(
     thm = theorem_bounds(frame, body.geom, config.constants)
     n_samples = _row_samples(config, n, body_kind)
 
-    pair_terms = n_samples >= 10_000
-    if not pair_terms:
+    indices = substream(seed, 4 * idx + 1) if n_samples >= 10_000 else None
+    if indices is None:
         logger.warning(
             "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
             body_kind, n, k, n_samples,
         )
-    bound_d1_cor = bound_dtv_cor = None
-    if pair_terms or config.metrics:
+    stats = bound_d1_cor = bound_dtv_cor = None
+    if indices is not None or config.metrics:
         spec = PairSpec(body=body, frame=frame)
-        w, stats = row_pass(spec, n_samples, substream(seed, 4 * idx + 2), pair_terms)
-    if pair_terms:
+        w, stats = row_pass(spec, n_samples, substream(seed, 4 * idx + 2), indices)
+    if stats is not None:
         cor = corollary_bounds(stats, config.constants)
         bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
 

@@ -49,9 +49,7 @@ BOUND_SOURCES = (
     "prop-cm-d2",
 )
 
-# Sample-chunk element budget for the closed-form estimators (memory guard).
-_CHUNK_BUDGET = 12_500_000
-# Elements of one row-pass tile (1 MiB of float64), sized to stay in L2 cache.
+# Elements of one row-pass tile or vertex block (1 MiB of float64), sized to stay in L2 cache.
 _TILE_BUDGET = 131_072
 
 
@@ -130,10 +128,10 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
         alpha = rows @ v.T
         c2 = n / (2.0 * (n + 1.0))
         # u_ab . x = c dg[a, b] and <theta_i, u_ab> = c da[i, a, b]; a = b adds 0.
-        # Blocks of vertices a keep da, (k, block * (n+1)), within the budget.
+        # Blocks of vertices a keep da, (k, block * (n+1)), within the tile budget.
         lin_sum = np.zeros(k)
         sec_sum = np.zeros((k, k))
-        block = max(1, _CHUNK_BUDGET // (k * (n + 1)))
+        block = max(1, _TILE_BUDGET // (k * (n + 1)))
         for lo in range(0, n + 1, block):
             dg = (gamma[lo : lo + block, None] - gamma[None, :]).ravel()
             da = (alpha[:, lo : lo + block, None] - alpha[:, None, :]).reshape(k, -1)
@@ -207,19 +205,20 @@ class PairStatistics:
 
 
 def row_pass(
-    spec: PairSpec, count: int, stream: RandomStream, pair_terms: bool = True
+    spec: PairSpec, count: int, stream: RandomStream, indices: Optional[RandomStream] = None
 ) -> tuple[np.ndarray, Optional[PairStatistics]]:
-    """One chunked pass over `count` body draws: W (count, k) and, optionally, the pair terms.
+    """One pass over `count` body draws: W (count, k) and, with `indices`, the pair terms.
 
-    Each chunk projects its points into W and, with `pair_terms`, then draws
-    one symmetry index per point and feeds the pair-term accumulators, so the
-    empirical distances and the semi-empirical bounds share every draw.
-    Inside a chunk the points are drawn in tiles of about `_TILE_BUDGET`
-    elements into one reused chunk buffer; each tile is scaled, projected and
-    reduced to its coordinate or edge sums while it is still in cache. The
-    tiles read the stream in the same order as one draw of the chunk, and an
-    lp-ball chunk, whose draw takes three arrays, is one tile. Memory is
-    O(chunk * width + count * k), width = max(n, k*k).
+    With an `indices` stream the row first draws one symmetry index per point
+    from it (a reflection coordinate, or an edge of the simplex), so `stream`
+    carries the points alone and W does not depend on whether the pair terms
+    are computed. The points are drawn in tiles of about `_TILE_BUDGET`
+    elements, a multiple of 4 rows, into one reused buffer; each tile is
+    scaled, projected into W and reduced to its coordinate or edge sums, cube
+    terms and conditional second moments while it is still in cache. Product
+    tiles read the stream exactly as one draw of all `count` points would;
+    lp-ball draws take three arrays, so their values depend on the tile size.
+    Memory is O(tile * width + count * k), width = max(n, k*k).
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij comes from the edge-sum
@@ -228,6 +227,7 @@ def row_pass(
     c (alpha_ia - alpha_ib). Neither the points nor the edges are formed, so
     a draw costs O(n k^2) instead of O(n^2 k).
     """
+    pair_terms = indices is not None
     if pair_terms and count < 10_000:
         raise ValueError(f"need count >= 10^4, got {count}")
     rows = spec.frame.rows
@@ -244,56 +244,51 @@ def row_pass(
         coord_products = (rows[:, None, :] * rows[None, :, :]).reshape(k * k, n)
         coord_norm3 = np.sqrt(np.sum(rows**2, axis=0)) ** 3
         m = n
-    width = max(m, k * k)  # the body buffer and the (c, k*k) pair-term sums
-
-    w = np.empty((count, k))
-    frob = np.empty(count)
-    cubes = np.empty(count)
-    cond_second = np.empty(count) if k == 1 else None
-
-    chunk = max(256, _CHUNK_BUDGET // width)
+    width = max(m, k * k)  # the body buffer and the (tile, k*k) pair-term sums
     # Tiles hold a multiple of 4 rows: BLAS matrix-vector kernels take rows in
     # groups of four and round an operand's last 1-3 rows differently, so
     # aligned tiles give k = 1 the bits of one single-threaded product over
-    # the whole chunk.
-    tile = chunk if spec.body.kind == "lp-ball" else max(4, _TILE_BUDGET // width // 4 * 4)
-    body = np.empty((min(chunk, count), m))  # the chunk's points, or gamma for the simplex
+    # all the rows.
+    tile = min(count, max(4, _TILE_BUDGET // width // 4 * 4))
+
+    w = np.empty((count, k))
+    body = np.empty((tile, m))  # the tile's points, or gamma for the simplex
     if pair_terms:
-        sums = np.empty((min(chunk, count), k * k))
-        squares = None if simplex else np.empty((min(tile, count), n))
-    for done in range(0, count, chunk):
-        c = min(chunk, count - done)
-        for lo in range(0, c, tile):
-            t = min(tile, c - lo)
-            pts = body[lo : lo + t]
-            w_tile = w[done + lo : done + lo + t]
-            if simplex:
-                simplex_vertex_coords(spec.body.geom, stream, t, out=pts)
-                w_tile[...] = vertex_projection(pts, alpha)
-                if pair_terms:  # ordered-pair edge sums
-                    norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts)
-                    sums[lo : lo + t] = _edge_sums(pts, alpha, norm2, w_tile)
-            else:
-                sample_body(spec.body, stream, t, out=pts)
-                w_tile[...] = project(spec.frame, pts)
-                if pair_terms:
-                    np.square(pts, out=squares[:t])
-                    np.matmul(squares[:t], coord_products.T, out=sums[lo : lo + t])
+        if simplex:
+            a, b = _edge_vertices(indices.integers(0, n * (n + 1) // 2, count), n + 1)
+        else:
+            idx = indices.integers(0, n, count)
+        frob = np.empty(count)
+        cubes = np.empty(count)
+        cond_second = np.empty(count) if k == 1 else None
+        sums = np.empty((tile, k * k))
+    for lo in range(0, count, tile):
+        t = min(tile, count - lo)
+        part = slice(lo, lo + t)
+        pts = body[:t]
+        if simplex:
+            simplex_vertex_coords(spec.body.geom, stream, t, out=pts)
+            w[part] = vertex_projection(pts, alpha)
+        else:
+            sample_body(spec.body, stream, t, out=pts)
+            w[part] = project(spec.frame, pts)
         if not pair_terms:
             continue
-        part = slice(done, done + c)
-        pts, s = body[:c], sums[:c]
-        if simplex:
-            a, b = _edge_vertices(stream.integers(0, n * (n + 1) // 2, c), n + 1)
-            edge_x = edge_coef * (pts[np.arange(c), a] - pts[np.arange(c), b])
-            edge_t = edge_coef * (alpha[:, a] - alpha[:, b])  # (k, c)
+        s, r = sums[:t], np.arange(t)
+        if simplex:  # ordered-pair edge sums
+            norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts)
+            s[...] = _edge_sums(pts, alpha, norm2, w[part])
+            ta, tb = a[part], b[part]
+            edge_x = edge_coef * (pts[r, ta] - pts[r, tb])
+            edge_t = edge_coef * (alpha[:, ta] - alpha[:, tb])  # (k, t)
             cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
             if cond_second is not None:
                 cond_second[part] = (4.0 / (n * (n + 1.0))) * s[:, 0]
             s /= n + 1.0
         else:
-            idx = stream.integers(0, n, c)
-            cubes[part] = 8.0 * np.abs(pts[np.arange(c), idx]) ** 3 * coord_norm3[idx]
+            ti = idx[part]
+            cubes[part] = 8.0 * np.abs(pts[r, ti]) ** 3 * coord_norm3[ti]
+            np.matmul(np.square(pts, out=pts), coord_products.T, out=s)
             if cond_second is not None:
                 cond_second[part] = (4.0 / n) * s[:, 0]
         e = s  # E_ij = (4/n) (s - delta_ij), formed in place
@@ -323,9 +318,11 @@ def row_pass(
     )
 
 
-def estimate_pair_terms(spec: PairSpec, count: int, stream: RandomStream) -> PairStatistics:
-    """Estimate the pair terms from `count` body samples on one stream (see `row_pass`)."""
-    return row_pass(spec, count, stream)[1]
+def estimate_pair_terms(
+    spec: PairSpec, count: int, stream: RandomStream, indices: RandomStream
+) -> PairStatistics:
+    """Estimate the pair terms from `count` body samples on `stream` (see `row_pass`)."""
+    return row_pass(spec, count, stream, indices)[1]
 
 
 @dataclass(frozen=True)

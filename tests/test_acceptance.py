@@ -178,7 +178,9 @@ def test_criterion_7_proof_chain_inequalities():
             spec = PairSpec(
                 body=BodySpec("product-uniform", n), frame=walsh_frame(n, k)
             )
-            stats = estimate_pair_terms(spec, 100_000, substream(109, n + k))
+            stats = estimate_pair_terms(
+                spec, 100_000, substream(109, n + k), substream(109, 1000 + n + k)
+            )
             fun = frame_functionals(spec.frame)
             ok &= stats.term_E <= 8 * math.sqrt(2) * fun.l4_sum + 3 * stats.term_E_se
             ok &= stats.term_M3 <= (12 * math.sqrt(2) / n) * fun.l3_sum**1.5 + 3 * stats.term_M3_se
@@ -186,7 +188,9 @@ def test_criterion_7_proof_chain_inequalities():
             sspec = PairSpec(
                 body=BodySpec("simplex", n), frame=haar_frame(n, k, substream(110, n + k))
             )
-            sstats = estimate_pair_terms(sspec, 100_000, substream(111, n + k))
+            sstats = estimate_pair_terms(
+                sspec, 100_000, substream(111, n + k), substream(111, 1000 + n + k)
+            )
             q = frame_functionals(sspec.frame, sspec.body.geom).simplex_quartic
             ok &= sstats.term_E <= 8 * math.sqrt(2) * q + 3 * sstats.term_E_se
             ok &= sstats.term_M3 <= (96 * math.sqrt(k) / (n + 1)) * q + 3 * sstats.term_M3_se

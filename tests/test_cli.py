@@ -155,6 +155,10 @@ def test_experiment_constants_override(tmp_path, capsys):
     ("ks", "product-gaussian", 8, 1, "haar"),
     ("tv", "lp-ball(1.5)", 8, 1, "coordinate"),
     ("w1", "simplex", 12, 1, "haar"),
+    # N = 2e4 spans 157 tiles of 128 points at n = 1024; the sweep also draws
+    # symmetry indices (stream 1) and `distance` draws none.
+    ("w1", "product-uniform", 1024, 1, "walsh"),
+    ("w1", "simplex", 1024, 1, "haar"),
 ])
 def test_distance_reproduces_sweep_row_0(capsys, metric, body, n, k, frame):
     seed, count = 9, 20_000
@@ -323,7 +327,7 @@ def test_simplex_n1024_within_address_space_limit(tmp_path):
 
 def test_distance_draws_in_chunks_within_address_space_limit():
     # One draw of 3e5 points at n = 1024 is 2.4 GB; `distance` samples through
-    # the chunked row pass and needs a few hundred MB.
+    # the tiled row pass and needs a few MB beyond W.
     result = run_under_address_limit(
         "sys.exit(main(['distance', '--metric', 'w1', '--body', 'product-uniform',\n"
         "               '--n', '1024', '--k', '1', '--frame', 'walsh',\n"
@@ -332,6 +336,33 @@ def test_distance_draws_in_chunks_within_address_space_limit():
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.startswith("w1-1d,") and ",300000,1" in result.stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_sweep_row_peak_memory_stays_small(tmp_path):
+    # The row pass keeps one tile of points, W and four (N,) arrays of pair
+    # terms and indices: about 6 MB at N = 1.5e5, k = 1. VmHWM is the child's
+    # own high-water mark; ru_maxrss would inherit the parent's across exec.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-uniform"], "ns": [1024], "ks": [1], "frames": ["walsh"],
+        "samples": 150_000, "seeds": [1], "metrics": ["w1"],
+    }))
+    out = tmp_path / "rows.csv"
+    result = run_under_address_limit(
+        "def vm_hwm_mb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        line = next(line for line in fh if line.startswith('VmHWM:'))\n"
+        "    return int(line.split()[1]) / 1024\n"
+        "before = vm_hwm_mb()\n"
+        f"assert main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(f'rise={vm_hwm_mb() - before:.1f}')\n",
+        2.5,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    rise = float(result.stdout.splitlines()[-1].removeprefix("rise="))
+    assert rise < 40.0
+    assert read_result_csv(out)[0].bound_d1_cor is not None
 
 
 def test_sliced_w1_within_address_space_limit():
@@ -350,7 +381,8 @@ def test_sliced_w1_within_address_space_limit():
 def test_simplex_wide_frame_pair_terms_within_address_space_limit(tmp_path):
     # At k = n = 16 the per-draw edge sums, (k*k) = 256 wide, outgrow gamma
     # (n + 1 = 17 wide); a chunk sized by n + 1 alone needs about 600 MiB per
-    # temporary at N = 3e5 and fails in 1.5 GB. The row needs about 650 MB.
+    # temporary at N = 3e5 and fails in 1.5 GB. The row raises its peak RSS by
+    # about 50 MB.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["simplex"], "ns": [16], "ks": [16], "frames": ["haar"],

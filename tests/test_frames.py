@@ -79,6 +79,35 @@ def test_haar_frame_orthonormal():
     assert np.max(np.abs(gram - np.eye(5))) < 1e-10
 
 
+def test_haar_frame_is_the_gram_schmidt_frame_of_its_draw():
+    # Gram-Schmidt on the rows g_i gives <theta_i, g_j> = 0 for j < i and
+    # <theta_i, g_i> > 0: R is upper triangular with a positive diagonal.
+    n, k = 40, 6
+    g = substream(5, 0).normal((k, n))
+    r = haar_frame(n, k, substream(5, 0)).rows @ g.T
+    assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+    assert np.all(np.diagonal(r) > 0)
+
+
+class _Stream:
+    """Hands out fixed Gaussian draws in turn, for the rank check."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def normal(self, size):
+        return self.draws.pop(0)
+
+
+def test_haar_frame_redraws_a_rank_deficient_draw():
+    deficient = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+    good = substream(6, 0).normal((2, 3))
+    f = haar_frame(3, 2, _Stream(deficient, good))
+    assert np.max(np.abs(f.rows @ f.rows.T - np.eye(2))) < 1e-12
+    with pytest.raises(RuntimeError, match="rank-deficient"):
+        haar_frame(3, 2, _Stream(deficient, deficient))
+
+
 def test_haar_frame_2x2_is_orthogonal():
     f = haar_frame(2, 2, substream(2, 0))
     assert abs(abs(np.linalg.det(f.rows)) - 1.0) < 1e-10

@@ -18,7 +18,7 @@ from margauss.harness import (
     run_experiment,
 )
 from margauss.metrics import w1_1d
-from margauss.stein import _CHUNK_BUDGET, PairSpec, corollary_bounds, estimate_pair_terms
+from margauss.stein import PairSpec, corollary_bounds, estimate_pair_terms
 
 
 def small_config(**overrides):
@@ -131,18 +131,17 @@ def test_runtime_cap_logged_and_reflected(caplog):
 
 
 def test_metrics_sample_stitched_across_chunks():
-    n, count = 1024, 30_000
-    chunk = _CHUNK_BUDGET // n
-    assert count > 2 * chunk  # at least three chunks of the row pass
+    n, count, chunk = 1024, 30_000, 12_207
     row = run_experiment(small_config(ns=(n,), samples=count))[0]
-    # Replay the row pass on its stream: each chunk draws its points, then its reflection indices.
+    # Replay the row's points stream in three pieces that cut across the row
+    # pass's 128-point tiles; the reflection indices come from another stream,
+    # so the points stream holds points alone.
     stream = substream(1, 2)
     parts = []
     for start in range(0, count, chunk):
         c = min(chunk, count - start)
         pts = sample_body(BodySpec("product-uniform", n), stream, c).points
         parts.append(project(walsh_frame(n, 1), pts))
-        stream.integers(0, n, c)
     full = w1_1d(np.concatenate(parts)[:, 0])
     assert row.N == count
     assert row.emp_w1 == pytest.approx(full.value, abs=1e-12)
@@ -190,7 +189,9 @@ def test_row_pair_bounds_match_estimate_pair_terms():
         body=BodySpec("product-uniform", n),
         frame=build_frame("haar", n, 2, substream(seed, 4 * idx)),
     )
-    stats = estimate_pair_terms(spec, count, substream(seed, 4 * idx + 2))
+    stats = estimate_pair_terms(
+        spec, count, substream(seed, 4 * idx + 2), substream(seed, 4 * idx + 1)
+    )
     cor = corollary_bounds(stats)
     assert row.n == n
     assert row.bound_d1_cor == cor.d1_bound

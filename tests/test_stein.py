@@ -134,7 +134,7 @@ def test_conditional_checks_exact(kind, n, k):
 def test_simplex_checks_enumerate_in_vertex_blocks(monkeypatch):
     spec = make_spec("simplex", 16, 3, seed=9)
     pts = sample_body(spec.body, substream(44, 16), 5).points
-    monkeypatch.setattr(stein, "_CHUNK_BUDGET", 3 * 17 * 4)  # 4 vertices a block: 5 blocks
+    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 17 * 4)  # 4 vertices a block: 5 blocks
     for x in pts:
         res = conditional_checks(x, spec)
         assert res.linearity_residual < RESIDUAL_TOL
@@ -156,27 +156,31 @@ def test_term_e_coordinate_frame_quadrature_oracle():
     )
     assert oracle == pytest.approx(4 * math.exp(-0.5) / math.sqrt(2 * math.pi), abs=1e-9)
     spec = PairSpec(body=BodySpec("product-gaussian", 16), frame=coordinate_frame(16, 1))
-    stats = estimate_pair_terms(spec, 100_000, substream(44, 0))
+    stats = estimate_pair_terms(spec, 100_000, substream(44, 0), substream(44, 1000))
     assert abs(stats.term_E - 2.0 * oracle) < 3 * stats.term_E_se
 
 
 def test_estimate_pair_terms_requires_enough_samples():
     spec = make_spec("product-uniform", 16, 1)
     with pytest.raises(ValueError):
-        estimate_pair_terms(spec, 100, substream(1, 0))
+        estimate_pair_terms(spec, 100, substream(1, 0), substream(1, 1000))
 
 
 def test_condvar_proxy_only_for_k1():
-    stats = estimate_pair_terms(make_spec("product-uniform", 16, 2), 20_000, substream(45, 0))
+    stats = estimate_pair_terms(
+        make_spec("product-uniform", 16, 2), 20_000, substream(45, 0), substream(45, 1000)
+    )
     assert stats.condvar_proxy is None
-    stats1 = estimate_pair_terms(make_spec("product-uniform", 16, 1), 20_000, substream(45, 1))
+    stats1 = estimate_pair_terms(
+        make_spec("product-uniform", 16, 1), 20_000, substream(45, 1), substream(45, 1001)
+    )
     assert stats1.condvar_proxy is not None and stats1.condvar_proxy > 0
 
 
 @pytest.mark.parametrize("n,k", [(32, 1), (32, 2)])
 def test_proof_chain_product(n, k):
     spec = make_spec("product-uniform", n, k, frame_kind="walsh")
-    stats = estimate_pair_terms(spec, 50_000, substream(46, n + k))
+    stats = estimate_pair_terms(spec, 50_000, substream(46, n + k), substream(46, 1000 + n + k))
     fun = frame_functionals(spec.frame)
     assert stats.term_E <= 8 * math.sqrt(2) * fun.l4_sum + 3 * stats.term_E_se
     m3_bound = (12 * math.sqrt(2) / n) * fun.l3_sum**1.5
@@ -186,7 +190,7 @@ def test_proof_chain_product(n, k):
 @pytest.mark.parametrize("n,k", [(32, 1), (32, 2)])
 def test_proof_chain_simplex(n, k):
     spec = make_spec("simplex", n, k, seed=n + k)
-    stats = estimate_pair_terms(spec, 50_000, substream(47, n + k))
+    stats = estimate_pair_terms(spec, 50_000, substream(47, n + k), substream(47, 1000 + n + k))
     fun = frame_functionals(spec.frame, spec.body.geom)
     q = fun.simplex_quartic
     assert stats.term_E <= 8 * math.sqrt(2) * q + 3 * stats.term_E_se
@@ -265,7 +269,7 @@ def test_gaussian_sanity_bound_positive():
     spec = PairSpec(
         body=BodySpec("product-gaussian", 32), frame=haar_frame(32, 2, substream(48, 0))
     )
-    stats = estimate_pair_terms(spec, 20_000, substream(48, 1))
+    stats = estimate_pair_terms(spec, 20_000, substream(48, 1), substream(48, 1001))
     report = corollary_bounds(stats)
     assert np.isfinite(report.d1_bound) and report.d1_bound > 0
 
@@ -273,7 +277,7 @@ def test_gaussian_sanity_bound_positive():
 @pytest.mark.parametrize("kind,frame_kind", [("product-uniform", "walsh"), ("simplex", "haar")])
 def test_corollary_below_theorem_d1(kind, frame_kind):
     spec = make_spec(kind, 64, 2, seed=5, frame_kind=frame_kind)
-    stats = estimate_pair_terms(spec, 50_000, substream(49, 0))
+    stats = estimate_pair_terms(spec, 50_000, substream(49, 0), substream(49, 1000))
     cor = corollary_bounds(stats)
     thm = theorem_bounds(spec.frame, spec.body.geom)
     assert cor.d1_bound <= thm.d1_bound * (1 + 3 * stats.term_E_se / max(stats.term_E, 1e-12))
@@ -284,7 +288,7 @@ def test_tv_univ_bound_decreases_with_dimension():
     ses = []
     for n in (50, 100, 200):
         spec = make_spec("simplex", n, 1, seed=n)
-        stats = estimate_pair_terms(spec, 20_000, substream(50, n))
+        stats = estimate_pair_terms(spec, 20_000, substream(50, n), substream(50, 1000 + n))
         report = corollary_bounds(stats, source="cor-tv-univ")
         values.append(report.dtv_bound)
         ses.append(stats.term_M3_se + (stats.condvar_proxy_se or 0.0))
@@ -301,8 +305,8 @@ def test_bound_report_validation():
         BoundReport(source="prop-stein")
 
 
-def edge_reference(spec, stream, count):
-    """term_E, term_M3 and condvar_proxy by enumerating every edge u_ab (one chunk)."""
+def edge_reference(spec, stream, indices, count):
+    """term_E, term_M3 and condvar_proxy by enumerating every edge u_ab."""
     n, k = spec.n, spec.k
     _, _, u = spec.body.geom.unordered_edge_matrix()
     t = spec.frame.rows @ u.T
@@ -310,7 +314,7 @@ def edge_reference(spec, stream, count):
     sq = (pts @ u.T) ** 2
     s = 2.0 * np.einsum("cp,ip,jp->cij", sq, t, t).reshape(count, k * k)
     e = (4.0 / n) * (s / (n + 1.0) - np.eye(k).ravel())
-    idx = stream.integers(0, u.shape[0], count)
+    idx = indices.integers(0, u.shape[0], count)
     cubes = 8.0 * sq[np.arange(count), idx] ** 1.5 * np.sqrt(np.sum(t**2, axis=0))[idx] ** 3
     cond = (4.0 / (n * (n + 1.0))) * s[:, 0] if k == 1 else None
     frob = np.sqrt(np.sum(e**2, axis=1))
@@ -350,9 +354,11 @@ def test_vertex_coordinate_edge_sums_match_enumeration(n, k):
 @pytest.mark.parametrize("n,k", [(7, 1), (16, 3), (64, 2)])
 def test_simplex_pair_terms_match_edge_enumeration(n, k):
     spec = make_spec("simplex", n, k, seed=n + 3 * k)
-    count = 10_000  # one chunk, so both sides read the stream in the same order
-    stats = estimate_pair_terms(spec, count, substream(54, n + k))
-    frob, cubes, cond = edge_reference(spec, substream(54, n + k), count)
+    count = 10_000
+    stats = estimate_pair_terms(spec, count, substream(54, n + k), substream(54, 1000 + n + k))
+    frob, cubes, cond = edge_reference(
+        spec, substream(54, n + k), substream(54, 1000 + n + k), count
+    )
     lam = spec.lam
     assert stats.term_E == pytest.approx(frob.mean() / lam, rel=1e-12)
     assert stats.term_M3 == pytest.approx(cubes.mean(), rel=1e-12)
@@ -363,9 +369,9 @@ def test_simplex_pair_terms_match_edge_enumeration(n, k):
 
 @pytest.mark.parametrize("n,k", [(16, 1), (300, 3)])
 def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
-    monkeypatch.setattr(stein, "_CHUNK_BUDGET", 1_700 * (n + 1))  # three chunks
+    monkeypatch.setattr(stein, "_TILE_BUDGET", 1_700 * (n + 1))  # three tiles
     spec = make_spec("simplex", n, k, seed=55)
-    w, stats = row_pass(spec, 5_000, substream(56, n), pair_terms=False)
+    w, stats = row_pass(spec, 5_000, substream(56, n))
     pts = sample_body(spec.body, substream(56, n), 5_000).points
     assert stats is None
     assert np.max(np.abs(w - project(spec.frame, pts))) <= 1e-12
@@ -379,14 +385,14 @@ def test_row_pass_tiles_leave_results_unchanged(kind, k, monkeypatch):
     n, count = 16, 10_000
     spec = make_spec(kind, n, k, seed=57)
     width = max(n + (kind == "simplex"), k * k)
-    # Chunks of 4000, 4000 and 2000 rows: multiples of 16, so a threaded BLAS
-    # that halves or quarters a chunk still hands each thread whole groups of 4.
-    monkeypatch.setattr(stein, "_CHUNK_BUDGET", 4_000 * width)
     results = []
-    # The one-row budget gives the smallest tile, 4 rows; 13 rows round down to 12.
+    # The one-row budget gives the smallest tile, 4 rows; 13 rows round down to
+    # 12; 4000 rows leave a last tile of 2000.
     for budget in (width, 13 * width, 4_000 * width):
         monkeypatch.setattr(stein, "_TILE_BUDGET", budget)
-        w, stats = row_pass(spec, count, substream(58, n + k))
+        w, stats = row_pass(spec, count, substream(58, n + k), substream(58, 1000 + n + k))
+        # The indices have their own stream, so W is the same without the pair terms.
+        assert np.array_equal(row_pass(spec, count, substream(58, n + k))[0], w)
         results.append((w, dataclasses.astuple(stats)))
     (w0, stats0), rest = results[0], results[1:]
     for w, stats in rest:
@@ -397,3 +403,4 @@ def test_row_pass_tiles_leave_results_unchanged(kind, k, monkeypatch):
             assert np.max(np.abs(w - w0)) <= 1e-12 * np.max(np.abs(w0))
             for value, ref in zip(stats, stats0):
                 assert value == pytest.approx(ref, rel=1e-12)
+
