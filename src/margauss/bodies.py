@@ -50,6 +50,17 @@ class BodySpec:
     def unconditional(self) -> bool:
         return self.kind != "simplex"
 
+    @property
+    def one_uniform_per_coordinate(self) -> bool:
+        """Whether a draw of c points reads exactly c * n uniforms from its stream.
+
+        Then the stream position of any point is known in advance, and a draw
+        can start at point i by jumping the stream (`RandomStream.ahead`).
+        Normals, exponentials and gamma variates use a variable number of
+        stream values, so product-gaussian, lp-ball and simplex draws cannot.
+        """
+        return self.kind in ("product-uniform", "product-laplace")
+
     @cached_property
     def geom(self) -> Optional["SimplexGeometry"]:
         """The regular simplex of the simplex kind, built once per spec; None otherwise."""

@@ -43,7 +43,10 @@ class RandomStream:
 
     Identical (seed, stream_id) pairs replay the identical sequence. The
     underlying generator is created lazily; a stream instance is consumed
-    sequentially and must be used by one thread at a time.
+    sequentially and must be used by one thread at a time. This holds for
+    each stream and for each view made by `ahead`: a view has a generator
+    of its own, so a stream and its views may be drawn from on different
+    threads at once.
     """
 
     seed: int
@@ -72,6 +75,35 @@ class RandomStream:
 
     def integers(self, low: int, high: int, size=None):
         return self._rng.integers(low, high, size=size)
+
+    def ahead(self, offset: int) -> "RandomStream":
+        """A view whose `uniform` draws start `offset` doubles past this stream's next one.
+
+        The view copies the generator state and jumps it ahead in O(log offset)
+        steps; drawing from it leaves this stream unchanged.
+        """
+        view = RandomStream(self.seed, self.stream_id)
+        view.__dict__["_rng"] = np.random.Generator(self._jumped(offset))
+        return view
+
+    def skip(self, offset: int) -> None:
+        """Move past `offset` doubles, as `uniform(offset)` would, without drawing them."""
+        self._rng.bit_generator.state = self._jumped(offset).state
+
+    def _jumped(self, offset: int) -> np.random.PCG64:
+        # `Generator.random` spends one 64-bit PCG64 output per double, so a
+        # jump of `offset` outputs skips `offset` doubles. `advance` also drops
+        # the buffered 32-bit half-output that bounded integer draws keep; it
+        # is restored so a later `integers` draw reads what it would have read.
+        bits = self._rng.bit_generator
+        assert isinstance(bits, np.random.PCG64), type(bits)
+        state = bits.state
+        jumped = np.random.PCG64(0)
+        jumped.state = state
+        jumped.advance(offset)
+        jumped.state = {**jumped.state, "has_uint32": state["has_uint32"],
+                        "uinteger": state["uinteger"]}
+        return jumped
 
 
 def substream(seed: int, stream_id: int) -> RandomStream:

@@ -25,6 +25,7 @@ so E_ij costs O(n k^2) per point instead of O(n^2 k).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,6 +182,13 @@ def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return row, index - starts[row] + row + 1
 
 
+def _cores() -> int:
+    """CPUs this process may run on: the most threads a row pass starts."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class PairStatistics:
     """Monte-Carlo estimates of the pair terms feeding the semi-empirical bounds.
@@ -218,7 +226,12 @@ def row_pass(
     terms and conditional second moments while it is still in cache. Product
     tiles read the stream exactly as one draw of all `count` points would;
     lp-ball draws take three arrays, so their values depend on the tile size.
-    Memory is O(tile * width + count * k), width = max(n, k*k).
+    When the body reads one uniform per coordinate (product-uniform and
+    product-laplace), the tiles are split into one contiguous range per CPU,
+    each drawn on its own thread from a view of `stream` jumped ahead to its
+    first row; every value, and the state `stream` is left in, are those of
+    one serial pass. Memory is O(tile * width * threads + count * k),
+    width = max(n, k*k).
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij comes from the edge-sum
@@ -227,6 +240,8 @@ def row_pass(
     c (alpha_ia - alpha_ib). Neither the points nor the edges are formed, so
     a draw costs O(n k^2) instead of O(n^2 k).
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     pair_terms = indices is not None
     if pair_terms and count < 10_000:
         raise ValueError(f"need count >= 10^4, got {count}")
@@ -252,7 +267,6 @@ def row_pass(
     tile = min(count, max(4, _TILE_BUDGET // width // 4 * 4))
 
     w = np.empty((count, k))
-    body = np.empty((tile, m))  # the tile's points, or gamma for the simplex
     if pair_terms:
         if simplex:
             a, b = _edge_vertices(indices.integers(0, n * (n + 1) // 2, count), n + 1)
@@ -261,40 +275,66 @@ def row_pass(
         frob = np.empty(count)
         cubes = np.empty(count)
         cond_second = np.empty(count) if k == 1 else None
-        sums = np.empty((tile, k * k))
-    for lo in range(0, count, tile):
-        t = min(tile, count - lo)
-        part = slice(lo, lo + t)
-        pts = body[:t]
-        if simplex:
-            simplex_vertex_coords(spec.body.geom, stream, t, out=pts)
-            w[part] = vertex_projection(pts, alpha)
-        else:
-            sample_body(spec.body, stream, t, out=pts)
-            w[part] = project(spec.frame, pts)
-        if not pair_terms:
-            continue
-        s, r = sums[:t], np.arange(t)
-        if simplex:  # ordered-pair edge sums
-            norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts)
-            s[...] = _edge_sums(pts, alpha, norm2, w[part])
-            ta, tb = a[part], b[part]
-            edge_x = edge_coef * (pts[r, ta] - pts[r, tb])
-            edge_t = edge_coef * (alpha[:, ta] - alpha[:, tb])  # (k, t)
-            cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
-            if cond_second is not None:
-                cond_second[part] = (4.0 / (n * (n + 1.0))) * s[:, 0]
-            s /= n + 1.0
-        else:
-            ti = idx[part]
-            cubes[part] = 8.0 * np.abs(pts[r, ti]) ** 3 * coord_norm3[ti]
-            np.matmul(np.square(pts, out=pts), coord_products.T, out=s)
-            if cond_second is not None:
-                cond_second[part] = (4.0 / n) * s[:, 0]
-        e = s  # E_ij = (4/n) (s - delta_ij), formed in place
-        e -= eye_flat
-        e *= 4.0 / n
-        frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
+
+    def tiles(lo: int, hi: int, stream: RandomStream) -> None:
+        """Draw rows lo..hi tile by tile and write their W and pair terms."""
+        body = np.empty((tile, m))  # the tile's points, or gamma for the simplex
+        sums = np.empty((tile, k * k)) if pair_terms else None
+        for start in range(lo, hi, tile):
+            t = min(tile, hi - start)
+            part = slice(start, start + t)
+            pts = body[:t]
+            if simplex:
+                simplex_vertex_coords(spec.body.geom, stream, t, out=pts)
+                w[part] = vertex_projection(pts, alpha)
+            else:
+                sample_body(spec.body, stream, t, out=pts)
+                w[part] = project(spec.frame, pts)
+            if not pair_terms:
+                continue
+            s, r = sums[:t], np.arange(t)
+            if simplex:  # ordered-pair edge sums
+                norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts)
+                s[...] = _edge_sums(pts, alpha, norm2, w[part])
+                ta, tb = a[part], b[part]
+                edge_x = edge_coef * (pts[r, ta] - pts[r, tb])
+                edge_t = edge_coef * (alpha[:, ta] - alpha[:, tb])  # (k, t)
+                cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
+                if cond_second is not None:
+                    cond_second[part] = (4.0 / (n * (n + 1.0))) * s[:, 0]
+                s /= n + 1.0
+            else:
+                ti = idx[part]
+                cubes[part] = 8.0 * np.abs(pts[r, ti]) ** 3 * coord_norm3[ti]
+                np.matmul(np.square(pts, out=pts), coord_products.T, out=s)
+                if cond_second is not None:
+                    cond_second[part] = (4.0 / n) * s[:, 0]
+            e = s  # E_ij = (4/n) (s - delta_ij), formed in place
+            e -= eye_flat
+            e *= 4.0 / n
+            frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
+
+    # Rows split into one contiguous range of whole tiles per worker, so each
+    # tile, and every product in it, is the one a serial pass computes. A
+    # worker draws its rows from a view of `stream` jumped to their first
+    # element, which only a body reading one uniform per coordinate allows.
+    n_tiles = -(-count // tile)
+    workers = min(_cores(), n_tiles) if spec.body.one_uniform_per_coordinate else 1
+    bounds = [tile * (n_tiles * i // workers) for i in range(workers)] + [count]
+    if workers == 1:
+        tiles(0, count, stream)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [
+                pool.submit(tiles, lo, hi, stream.ahead(lo * n))
+                for lo, hi in zip(bounds[1:-1], bounds[2:])
+            ]
+            tiles(0, bounds[1], stream)
+            for future in futures:
+                future.result()
+        stream.skip((count - bounds[1]) * n)  # to where a serial pass leaves it
     if not pair_terms:
         return w, None
 

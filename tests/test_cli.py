@@ -209,6 +209,10 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["distance", "--metric", "w1", "--body", "product-gaussian", "--n", "8", "--k", "1",
       "--frame", "haar", "--samples", "50", "--seed", "1"], "need at least 100 samples, got 50"),
+    (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
+      "--frame", "haar", "--samples", "0", "--seed", "1"], "count must be >= 1, got 0"),
+    (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
+      "--frame", "haar", "--samples", "-5", "--seed", "1"], "count must be >= 1, got -5"),
     (["verify", "pair", "--body", "product-gaussian", "--n", "8", "--k", "1",
       "--frame", "haar", "--samples", "0"], "count must be >= 1, got 0"),
     (["distance", "--metric", "ks", "--body", "product-gaussian", "--n", "8", "--k", "2",
@@ -288,8 +292,10 @@ def test_experiment_skips_failing_rows(tmp_path, capsys, caplog):
     ]
 
 
-def run_under_address_limit(code: str, limit_gb: float) -> subprocess.CompletedProcess:
-    """Run `code` in a child Python with RLIMIT_AS = limit_gb GiB and one BLAS thread."""
+def run_under_address_limit(
+    code: str, limit_gb: float, blas_threads: int = 1
+) -> subprocess.CompletedProcess:
+    """Run `code` in a child Python with RLIMIT_AS = limit_gb GiB and that many BLAS threads."""
     child = (
         "import resource, sys\n"
         f"limit = int({limit_gb} * 2**30)\n"
@@ -298,7 +304,7 @@ def run_under_address_limit(code: str, limit_gb: float) -> subprocess.CompletedP
     ) + code
     src = str(Path(margauss.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "MG_SEED"}
-    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                           text=True, timeout=600)
@@ -441,3 +447,30 @@ def test_cli_runs_on_scipy_special_alone(tmp_path):
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.splitlines()[-1] == "loaded: []"
     assert len(read_result_csv(out)) == 4
+
+
+def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
+    # Product-uniform and product-laplace rows run their tiles on one thread
+    # per CPU, and OpenBLAS (itself at two threads here) is then called from
+    # two threads at once. Two runs and a run patched to one worker must
+    # write the same bytes.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-uniform", "product-laplace"], "ns": [256, 1024], "ks": [1, 2],
+        "frames": ["haar"], "samples": 30_000, "seeds": [3], "metrics": ["w1"],
+    }))
+    outs = [tmp_path / f"rows{i}.csv" for i in range(3)]
+    result = run_under_address_limit(
+        "import margauss.stein\n"
+        f"for out in {[str(out) for out in outs]!r}:\n"
+        "    if out.endswith('rows2.csv'):\n"
+        "        margauss.stein._cores = lambda: 1\n"
+        f"    assert main(['experiment', '--config', {str(config)!r}, '--out', out]) == 0\n",
+        4.0,
+        blas_threads=2,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    first = outs[0].read_bytes()
+    assert len(read_result_csv(outs[0])) == 8
+    assert outs[1].read_bytes() == first
+    assert outs[2].read_bytes() == first

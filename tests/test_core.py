@@ -48,6 +48,56 @@ def test_draws_into_pieces_equal_one_draw(draw):
     assert np.array_equal(getattr(whole_stream, draw)(5), getattr(tiled_stream, draw)(5))
 
 
+# PCG64 (XSL-RR 128/64) in Python: the reference for jumps too long to draw.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_doubles(state: int, inc: int, skip: int, m: int) -> np.ndarray:
+    """Doubles `skip`..`skip + m` that a PCG64 in (state, inc) gives `Generator.random`."""
+    mult, plus, acc_mult, acc_plus = _PCG_MULT, inc, 1, 0
+    while skip:  # state -> mult^skip state + inc (mult^skip - 1) / (mult - 1)
+        if skip & 1:
+            acc_mult, acc_plus = acc_mult * mult & _MASK128, (acc_plus * mult + plus) & _MASK128
+        mult, plus = mult * mult & _MASK128, (mult + 1) * plus & _MASK128
+        skip >>= 1
+    state = (acc_mult * state + acc_plus) & _MASK128
+    out = []
+    for _ in range(m):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        xored, rot = ((state >> 64) ^ state) & (2**64 - 1), state >> 122
+        value = (xored >> rot | xored << (64 - rot)) & (2**64 - 1)
+        out.append((value >> 11) * 2.0**-53)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 4097, 2**32 + 3])
+def test_stream_ahead_starts_offset_doubles_later(offset):
+    stream = substream(13, 2)
+    stream.integers(0, 10, 3)  # leaves a buffered half-output in the generator
+    state = stream._rng.bit_generator.state["state"]
+    m = 9
+    expected = _pcg64_doubles(state["state"], state["inc"], offset, m)
+    if offset < 10_000:  # the reference agrees with one draw from the stream itself
+        full = substream(13, 2)
+        full.integers(0, 10, 3)
+        assert np.array_equal(full.uniform(offset + m)[offset:], expected)
+    view = stream.ahead(offset)
+    assert np.array_equal(view.uniform(m), expected)
+    # Drawing from the view leaves the stream unchanged.
+    assert np.array_equal(stream.uniform(m), _pcg64_doubles(state["state"], state["inc"], 0, m))
+
+
+def test_stream_skip_equals_drawing():
+    drawn, skipped = substream(14, 0), substream(14, 0)
+    for stream in (drawn, skipped):
+        stream.integers(0, 10, 3)  # an odd count of 32-bit draws: half an output buffered
+    drawn.uniform(4097)
+    skipped.skip(4097)
+    assert np.array_equal(skipped.integers(0, 10, 5), drawn.integers(0, 10, 5))
+    assert np.array_equal(skipped.uniform(7), drawn.uniform(7))
+
+
 def test_substream_rejects_non_integers():
     with pytest.raises(ValueError):
         substream(1.5, 0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -404,3 +405,42 @@ def test_row_pass_tiles_leave_results_unchanged(kind, k, monkeypatch):
             for value, ref in zip(stats, stats0):
                 assert value == pytest.approx(ref, rel=1e-12)
 
+
+@pytest.mark.parametrize("kind", ["product-uniform", "product-laplace"])
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("k", [1, 2])
+def test_row_pass_values_do_not_depend_on_worker_count(kind, n, k, monkeypatch):
+    spec = make_spec(kind, n, k, seed=59)
+    tile = stein._TILE_BUDGET // max(n, k * k) // 4 * 4
+    # Off the tile grid; and a row of two tiles, fewer than three workers.
+    cases = [(max(3 * tile, 10_000) + 37, True), (max(3 * tile, 10_000) + 37, False),
+             (tile + 5, False)]
+    results = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        runs = []
+        for count, with_indices in cases:
+            stream = substream(60, n + k)
+            indices = substream(60, 1000 + n + k) if with_indices else None
+            w, stats = row_pass(spec, count, stream, indices)
+            # The points stream is left where one serial draw of the row leaves it.
+            runs.append((w, stats, stream.uniform(5)))
+        results.append(runs)
+    for runs in results[1:]:
+        for (w, stats, after), (w1, stats1, after1) in zip(runs, results[0]):
+            assert np.array_equal(w, w1)
+            assert stats == stats1
+            assert np.array_equal(after, after1)
+
+
+def test_row_pass_worker_error_reaches_the_caller(monkeypatch):
+    def fail_off_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return sample_body(*args, **kwargs)
+
+    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    monkeypatch.setattr(stein, "sample_body", fail_off_main_thread)
+    spec = make_spec("product-uniform", 1024, 1, seed=61)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        row_pass(spec, 1_000, substream(62, 0))
