@@ -209,10 +209,6 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["distance", "--metric", "w1", "--body", "product-gaussian", "--n", "8", "--k", "1",
       "--frame", "haar", "--samples", "50", "--seed", "1"], "need at least 100 samples, got 50"),
-    (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
-      "--frame", "haar", "--samples", "0", "--seed", "1"], "count must be >= 1, got 0"),
-    (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
-      "--frame", "haar", "--samples", "-5", "--seed", "1"], "count must be >= 1, got -5"),
     (["verify", "pair", "--body", "product-gaussian", "--n", "8", "--k", "1",
       "--frame", "haar", "--samples", "0"], "count must be >= 1, got 0"),
     (["distance", "--metric", "ks", "--body", "product-gaussian", "--n", "8", "--k", "2",
@@ -221,6 +217,10 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
     (["distance", "--metric", "tv", "--body", "simplex", "--n", "8", "--k", "2",
       "--frame", "haar", "--samples", "500", "--seed", "1"],
      "tv is a one-dimensional estimator; use k=1"),
+    (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
+      "--frame", "haar", "--samples", "0", "--seed", "1"], "count must be >= 1, got 0"),
+    (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
+      "--frame", "haar", "--samples", "-5", "--seed", "1"], "count must be >= 1, got -5"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
