@@ -73,16 +73,19 @@ class BodySpec:
 
 
 def parse_body_kind(text: str, n: int, p: Optional[float] = None) -> BodySpec:
-    """Parse a body label such as 'simplex' or 'lp-ball(1.5)'."""
+    """Parse a body label such as 'simplex' or 'lp-ball(1.5)'; `p` may not contradict it."""
     text = text.strip()
     if text.startswith("lp-ball"):
         inner = text[len("lp-ball"):]
         if inner.startswith("(") and inner.endswith(")"):
-            p = math.inf if inner[1:-1] in ("inf", "infinity") else float(inner[1:-1])
+            label_p = math.inf if inner[1:-1] in ("inf", "infinity") else float(inner[1:-1])
+            if p is not None and p != label_p:
+                raise ValueError(f"p = {p:g} conflicts with body {text!r}")
+            p = label_p
         elif inner:
             raise ValueError(f"cannot parse body kind {text!r}")
         return BodySpec("lp-ball", n, p)
-    return BodySpec(text, n)
+    return BodySpec(text, n, p)
 
 
 @dataclass(frozen=True, eq=False)

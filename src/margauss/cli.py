@@ -2,7 +2,9 @@
 
 Subcommands: frames, sample, verify pair, bounds, smoothing, distance,
 experiment. Seeds given on the command line are overridden by the MG_SEED
-environment variable when it is set.
+environment variable when it is set. A subcommand that draws reads the
+streams of sweep row 0 (`harness.row_stream`), so its frame, points and
+distances are those of the first row of a sweep at the same seed.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import astuple, replace
 
 import numpy as np
 
-from . import bodies, frames, gauss, harness, metrics, stein
-from .core import ConstantsConfig, resolve_seed, resolve_seeds, substream
+from . import bodies, frames, gauss, harness, stein
+from .core import ConstantsConfig, resolve_seed, resolve_seeds
+from .harness import row_stream
 
 PAIR_TOLERANCE = 1e-10
 
@@ -25,7 +28,8 @@ def _csv(values) -> str:
 
 
 def _cmd_frames(args) -> int:
-    frame = frames.build_frame(args.kind, args.n, args.k, substream(resolve_seed(args.seed), 0))
+    seed = resolve_seed(args.seed)
+    frame = frames.build_frame(args.kind, args.n, args.k, row_stream(seed, 0, "frame"))
     fun = frames.frame_functionals(frame)
     print(_csv([frame.kind, frame.n, frame.k, fun.l4_sum, fun.l3_sum,
                 fun.simplex_quartic, fun.simplex_cubic]))
@@ -34,7 +38,7 @@ def _cmd_frames(args) -> int:
 
 def _cmd_sample(args) -> int:
     spec = bodies.parse_body_kind(args.body, args.n, args.p)
-    batch = bodies.sample_body(spec, substream(resolve_seed(args.seed), 0), args.count)
+    batch = bodies.sample_body(spec, row_stream(resolve_seed(args.seed), 0, "points"), args.count)
     np.savetxt(args.out, batch.points, fmt="%.17g", delimiter=",")
     return 0
 
@@ -42,10 +46,10 @@ def _cmd_sample(args) -> int:
 def _cmd_verify_pair(args) -> int:
     spec = bodies.parse_body_kind(args.body, args.n, args.p)
     seed = resolve_seed(args.seed)
-    frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 1))
+    frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
     pair = stein.PairSpec(body=spec, frame=frame)
     worst_lin = worst_sec = 0.0
-    pts = bodies.sample_body(spec, substream(seed, 0), args.samples).points
+    pts = bodies.sample_body(spec, row_stream(seed, 0, "points"), args.samples).points
     for x in pts:
         res = stein.conditional_checks(x, pair)
         worst_lin = max(worst_lin, res.linearity_residual)
@@ -60,7 +64,8 @@ def _cmd_verify_pair(args) -> int:
 def _cmd_bounds(args) -> int:
     constants = ConstantsConfig.from_json(args.constants) if args.constants else ConstantsConfig()
     spec = bodies.parse_body_kind(args.body, args.n, args.p)
-    frame = frames.build_frame(args.frame, args.n, args.k, substream(resolve_seed(args.seed), 0))
+    seed = resolve_seed(args.seed)
+    frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
     reports = [stein.theorem_bounds(frame, spec.geom, constants)]  # thm1, or thm2 for the simplex
     if spec.kind == "simplex" and args.k == 1:
         reports.append(stein.theorem_bounds(frame, spec.geom, constants, theorem="thm3"))
@@ -79,22 +84,12 @@ def _cmd_smoothing(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    if args.metric != "w1" and args.k != 1:
-        raise ValueError(f"{args.metric} is a one-dimensional estimator; use k=1")
     spec = bodies.parse_body_kind(args.body, args.n, args.p)
     seed = resolve_seed(args.seed)
-    # The sweep's stream map at row 0: frame 0, sample 2, sliced directions 3.
-    frame = frames.build_frame(args.frame, args.n, args.k, substream(seed, 0))
+    frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
     pair = stein.PairSpec(body=spec, frame=frame)
-    w, _ = stein.row_pass(pair, args.samples, substream(seed, 2))
-    if args.metric == "ks":
-        est = metrics.ks_1d(w[:, 0])
-    elif args.metric == "tv":
-        est = metrics.tv_hist_1d(w[:, 0])
-    elif args.k == 1:
-        est = metrics.w1_1d(w[:, 0])
-    else:
-        est = metrics.w1_sliced(w, harness.SLICED_DIRECTIONS, substream(seed, 3))
+    w, _ = stein.row_pass(pair, args.samples, row_stream(seed, 0, "points"))
+    est = harness.estimate_distance(args.metric, w, row_stream(seed, 0, "directions"))
     print(_csv([est.metric, est.value, est.se_or_bias_note, est.count, est.k]))
     return 0
 

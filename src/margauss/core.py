@@ -16,18 +16,25 @@ import numpy as np
 
 ENV_SEED = "MG_SEED"
 
-_MASK64 = (1 << 64) - 1
+
+def check_seed(seed) -> int:
+    """`seed` as an int; a seed is an integer in [0, 2^64), so no two seeds alias."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return int(seed)
 
 
 def resolve_seed(seed: int) -> int:
     """Return the configured seed, unless the MG_SEED env var overrides it."""
     raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return int(seed)
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be a decimal integer, got {raw!r}") from None
+    if raw is not None:
+        try:
+            seed = int(raw, 10)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be a decimal integer, got {raw!r}") from None
+    return check_seed(seed)
 
 
 def resolve_seeds(seeds) -> tuple[int, ...]:
@@ -54,9 +61,7 @@ class RandomStream:
 
     @cached_property
     def _rng(self) -> np.random.Generator:
-        root = np.random.SeedSequence(
-            self.seed & _MASK64, spawn_key=(self.stream_id & _MASK64,)
-        )
+        root = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(root)
 
     # With `out`, the draw fills that float64 array in place and returns it;
@@ -80,39 +85,26 @@ class RandomStream:
         """A view whose `uniform` draws start `offset` doubles past this stream's next one.
 
         The view copies the generator state and jumps it ahead in O(log offset)
-        steps; drawing from it leaves this stream unchanged.
+        steps; drawing from it leaves this stream unchanged. `Generator.random`
+        spends one 64-bit PCG64 output per double, so a jump of `offset`
+        outputs skips `offset` doubles. A view is for `uniform` alone: the jump
+        drops the buffered 32-bit half-output that bounded integer draws read.
         """
-        view = RandomStream(self.seed, self.stream_id)
-        view.__dict__["_rng"] = np.random.Generator(self._jumped(offset))
-        return view
-
-    def skip(self, offset: int) -> None:
-        """Move past `offset` doubles, as `uniform(offset)` would, without drawing them."""
-        self._rng.bit_generator.state = self._jumped(offset).state
-
-    def _jumped(self, offset: int) -> np.random.PCG64:
-        # `Generator.random` spends one 64-bit PCG64 output per double, so a
-        # jump of `offset` outputs skips `offset` doubles. `advance` also drops
-        # the buffered 32-bit half-output that bounded integer draws keep; it
-        # is restored so a later `integers` draw reads what it would have read.
         bits = self._rng.bit_generator
         assert isinstance(bits, np.random.PCG64), type(bits)
-        state = bits.state
         jumped = np.random.PCG64(0)
-        jumped.state = state
+        jumped.state = bits.state
         jumped.advance(offset)
-        jumped.state = {**jumped.state, "has_uint32": state["has_uint32"],
-                        "uinteger": state["uinteger"]}
-        return jumped
+        view = RandomStream(self.seed, self.stream_id)
+        view.__dict__["_rng"] = np.random.Generator(jumped)
+        return view
 
 
 def substream(seed: int, stream_id: int) -> RandomStream:
     """Split-by-label stream constructor."""
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not isinstance(stream_id, (int, np.integer)):
         raise ValueError(f"stream_id must be an integer, got {stream_id!r}")
-    return RandomStream(int(seed), int(stream_id))
+    return RandomStream(check_seed(seed), int(stream_id))
 
 
 def batch_mean_se(values: np.ndarray, n_batches: int = 20) -> tuple[float, float]:

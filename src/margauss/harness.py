@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .bodies import parse_body_kind
-from .core import ConstantsConfig, substream
+from .core import ConstantsConfig, RandomStream, check_seed, substream
 from .frames import build_frame, frame_functionals
-from .metrics import ks_1d, tv_hist_1d, w1_1d, w1_sliced
+from .metrics import DistanceEstimate, ks_1d, tv_hist_1d, w1_1d, w1_sliced
 from .stein import PairSpec, corollary_bounds, row_pass, theorem_bounds
 
 logger = logging.getLogger(__name__)
@@ -36,11 +36,29 @@ METRIC_CHOICES = ("w1", "ks", "tv")
 
 SLICED_DIRECTIONS = 64
 
-# Body elements (N * n per row) a row processes per second, used only for the
-# optional runtime cap. Measured on the product-uniform Walsh sweep (k = 1,
-# n = 16..1024, N = 1.5e5, metric w1): 2.04e8 elements in 1.51 to 1.86 s
-# (median 1.64 s) on a 2-core x86-64 machine with one BLAS thread.
-_ELEMENTS_PER_SECOND = 1.2e8
+# The stream map: sweep row idx (its position in sort order) draws each role
+# from its own substream of the row's seed, 4·idx + ROW_STREAMS[role]. Every
+# subcommand that draws reads row 0's streams, so its values are row 0's.
+ROW_STREAMS = {"frame": 0, "indices": 1, "points": 2, "directions": 3}
+
+
+def row_stream(seed: int, idx: int, role: str) -> RandomStream:
+    """The stream from which sweep row `idx` of `seed` draws `role`, a key of ROW_STREAMS."""
+    return substream(seed, len(ROW_STREAMS) * idx + ROW_STREAMS[role])
+
+
+def estimate_distance(metric: str, w: np.ndarray, directions: RandomStream) -> DistanceEstimate:
+    """The `metric` distance of the projected sample w, (count, k), to N(0, I_k).
+
+    w1 is `w1_1d` at k = 1 and `w1_sliced` along SLICED_DIRECTIONS directions
+    drawn from `directions` at k >= 2; ks and tv are one-dimensional.
+    """
+    k = w.shape[1]
+    if metric == "w1":
+        return w1_1d(w[:, 0]) if k == 1 else w1_sliced(w, SLICED_DIRECTIONS, directions)
+    if k != 1:
+        raise ValueError(f"{metric} is a one-dimensional estimator; use k=1")
+    return {"ks": ks_1d, "tv": tv_hist_1d}[metric](w[:, 0])
 
 
 # The list fields of a config and the type of their items.
@@ -63,7 +81,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     metrics: tuple[str, ...] = ()
     constants: ConstantsConfig = field(default_factory=ConstantsConfig)
-    max_row_seconds: Optional[float] = None
 
     def __post_init__(self):
         for name, kind in _LIST_FIELDS.items():
@@ -73,12 +90,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(value))
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for seed in self.seeds:
+            check_seed(seed)
         if not (self.bodies and self.ns and self.ks and self.frames):
             raise ValueError("bodies, ns, ks, and frames must all be nonempty")
         if not _is(int, self.samples) or self.samples < 1:
             raise ValueError(f"samples must be a positive int, got {self.samples!r}")
-        if self.max_row_seconds is not None and not _is(float, self.max_row_seconds):
-            raise ValueError(f"max_row_seconds must be a number, got {self.max_row_seconds!r}")
         bad = set(self.metrics) - set(METRIC_CHOICES)
         if bad:
             raise ValueError(f"unknown metrics {sorted(bad)}; choose from {METRIC_CHOICES}")
@@ -146,30 +163,16 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     return rows
 
 
-def _row_samples(config: ExperimentConfig, n: int, body_kind: str) -> int:
-    n_samples = config.samples
-    if config.max_row_seconds is not None:
-        projected = n * n_samples / _ELEMENTS_PER_SECOND
-        if projected > config.max_row_seconds:
-            capped = max(10_000, int(config.max_row_seconds * _ELEMENTS_PER_SECOND / n))
-            logger.warning(
-                "capping samples for body=%s n=%d: %d -> %d (projected %.1f s over ceiling)",
-                body_kind, n, n_samples, capped, projected,
-            )
-            n_samples = min(n_samples, capped)
-    return n_samples
-
-
 def _compute_row(
     config: ExperimentConfig, idx: int, body_kind: str, n: int, k: int, frame_kind: str, seed: int
 ) -> ResultRow:
     body = parse_body_kind(body_kind, n)
-    frame = build_frame(frame_kind, n, k, substream(seed, 4 * idx))
+    frame = build_frame(frame_kind, n, k, row_stream(seed, idx, "frame"))
     fun = frame_functionals(frame, body.geom)
     thm = theorem_bounds(frame, body.geom, config.constants)
-    n_samples = _row_samples(config, n, body_kind)
+    n_samples = config.samples
 
-    indices = substream(seed, 4 * idx + 1) if n_samples >= 10_000 else None
+    indices = row_stream(seed, idx, "indices") if n_samples >= 10_000 else None
     if indices is None:
         logger.warning(
             "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
@@ -178,29 +181,18 @@ def _compute_row(
     stats = bound_d1_cor = bound_dtv_cor = None
     if indices is not None or config.metrics:
         spec = PairSpec(body=body, frame=frame)
-        w, stats = row_pass(spec, n_samples, substream(seed, 4 * idx + 2), indices)
+        w, stats = row_pass(spec, n_samples, row_stream(seed, idx, "points"), indices)
     if stats is not None:
         cor = corollary_bounds(stats, config.constants)
         bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
 
-    emp_w1 = emp_w1_se = emp_ks = emp_tv = None
-    if config.metrics:
-        if "w1" in config.metrics:
-            if k == 1:
-                est = w1_1d(w[:, 0])
-            else:
-                est = w1_sliced(w, SLICED_DIRECTIONS, substream(seed, 4 * idx + 3))
-            emp_w1, emp_w1_se = est.value, float(est.se_or_bias_note)
-        if "ks" in config.metrics:
-            if k == 1:
-                emp_ks = ks_1d(w[:, 0]).value
-            else:
-                logger.warning("skipping ks for k=%d (one-dimensional estimator)", k)
-        if "tv" in config.metrics:
-            if k == 1:
-                emp_tv = tv_hist_1d(w[:, 0]).value
-            else:
-                logger.warning("skipping tv for k=%d (one-dimensional estimator)", k)
+    emp = {}
+    for metric in config.metrics:
+        if metric != "w1" and k != 1:
+            logger.warning("skipping %s for k=%d (one-dimensional estimator)", metric, k)
+        else:
+            emp[metric] = estimate_distance(metric, w, row_stream(seed, idx, "directions"))
+    w1 = emp.get("w1")
 
     return ResultRow(
         body=body.label(),
@@ -215,10 +207,10 @@ def _compute_row(
         bound_dtv_thm=thm.dtv_bound,
         bound_d1_cor=bound_d1_cor,
         bound_dtv_cor=bound_dtv_cor,
-        emp_w1=emp_w1,
-        emp_w1_se=emp_w1_se,
-        emp_ks=emp_ks,
-        emp_tv=emp_tv,
+        emp_w1=w1.value if w1 else None,
+        emp_w1_se=float(w1.se_or_bias_note) if w1 else None,
+        emp_ks=emp["ks"].value if "ks" in emp else None,
+        emp_tv=emp["tv"].value if "tv" in emp else None,
         runtime_ms=None,
     )
 

@@ -229,9 +229,9 @@ def row_pass(
     When the body reads one uniform per coordinate (product-uniform and
     product-laplace), the tiles are split into one contiguous range per CPU,
     each drawn on its own thread from a view of `stream` jumped ahead to its
-    first row; every value, and the state `stream` is left in, are those of
-    one serial pass. Memory is O(tile * width * threads + count * k),
-    width = max(n, k*k).
+    first row; every value is that of one serial pass. The pass is the only
+    reader of `stream` and leaves it at no defined position. Memory is
+    O(tile * width * threads + count * k), width = max(n, k*k).
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij comes from the edge-sum
@@ -334,7 +334,6 @@ def row_pass(
             tiles(0, bounds[1], stream)
             for future in futures:
                 future.result()
-        stream.skip((count - bounds[1]) * n)  # to where a serial pass leaves it
     if not pair_terms:
         return w, None
 

@@ -198,6 +198,67 @@ def test_distance_samples_apart_from_the_frame_stream(capsys, monkeypatch):
     assert np.array_equal(first_point, substream(5, 2).normal(8))
 
 
+@pytest.mark.parametrize("body", ["product-uniform", "product-gaussian"])
+def test_subcommands_follow_the_stream_map(tmp_path, capsys, monkeypatch, body):
+    # Each subcommand reads sweep row 0's streams: the Haar frame from stream
+    # 0, the points from stream 2. `sample` writes the first points of the
+    # stream whose points `distance` and the sweep project.
+    from margauss import frames, harness, stein
+
+    seed, n, k, count = 6, 16, 2, 30
+    built, drawn = [], []
+
+    def recording(fn, into, field):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            into.append(getattr(result, field).copy())
+            return result
+
+        return wrapped
+
+    build = recording(frames.build_frame, built, "rows")
+    sample = recording(bodies.sample_body, drawn, "points")
+    for module in (frames, harness):
+        monkeypatch.setattr(module, "build_frame", build)
+    for module in (bodies, stein):
+        monkeypatch.setattr(module, "sample_body", sample)
+    marginal = ["--body", body, "--n", str(n), "--k", str(k), "--frame", "haar",
+                "--seed", str(seed)]
+    assert main(["frames", "--kind", "haar", "--n", str(n), "--k", str(k),
+                 "--seed", str(seed)]) == 0
+    assert main(["bounds", *marginal]) == 0
+    assert main(["verify", "pair", *marginal, "--samples", "5"]) == 0
+    assert main(["distance", "--metric", "w1", *marginal, "--samples", "1000"]) == 0
+    config = ExperimentConfig(bodies=(body,), ns=(n,), ks=(k,), frames=("haar",),
+                              samples=1000, seeds=(seed,), metrics=("w1",))
+    run_experiment(config)
+    out = tmp_path / "points.csv"
+    assert main(["sample", "--body", body, "--n", str(n), "--count", str(count),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    assert len(built) == 5  # frames, bounds, verify pair, distance, the sweep row
+    for rows in built:
+        assert np.array_equal(rows, built[-1])
+    verify_points, distance_points, row_points, _ = drawn  # the last is `sample`'s own
+    assert len(distance_points) == len(row_points) == 1000
+    assert np.array_equal(distance_points, row_points)
+    assert np.array_equal(np.loadtxt(out, delimiter=","), row_points[:count])
+    assert np.array_equal(verify_points, row_points[:5])
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+def test_env_seed_outside_64_bits_is_a_usage_error(capsys, monkeypatch, value):
+    # Seeds are not reduced mod 2^64: -1 would replay 2^64 - 1, and 2^64 + 1 replay 1.
+    monkeypatch.setenv("MG_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["frames", "--kind", "haar", "--n", "8", "--k", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"margauss: error: seed must lie in [0, 2^64), got {value}"
+    )
+
+
 def test_env_seed_must_be_decimal(capsys, monkeypatch):
     monkeypatch.setenv("MG_SEED", "0x1f")
     with pytest.raises(SystemExit) as exc:
@@ -221,6 +282,16 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
       "--frame", "haar", "--samples", "0", "--seed", "1"], "count must be >= 1, got 0"),
     (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
       "--frame", "haar", "--samples", "-5", "--seed", "1"], "count must be >= 1, got -5"),
+    (["distance", "--metric", "w1", "--body", "simplex", "--p", "3", "--n", "8", "--k", "1",
+      "--frame", "haar", "--samples", "500", "--seed", "1"],
+     "p is only meaningful for lp-ball, got kind 'simplex'"),
+    (["distance", "--metric", "w1", "--body", "lp-ball(1.5)", "--p", "3", "--n", "8",
+      "--k", "1", "--frame", "haar", "--samples", "500", "--seed", "1"],
+     "p = 3 conflicts with body 'lp-ball(1.5)'"),
+    (["frames", "--kind", "haar", "--n", "8", "--k", "2", "--seed", str(2**64 + 1)],
+     "seed must lie in [0, 2^64), got 18446744073709551617"),
+    (["verify", "pair", "--body", "simplex", "--n", "8", "--k", "2", "--frame", "haar",
+      "--seed", "-1"], "seed must lie in [0, 2^64), got -1"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -241,6 +312,9 @@ SMALL_CONFIG = {"bodies": ["product-uniform"], "ns": [16], "ks": [1], "frames": 
     ("bodies", "simplex", "bodies must be a list of str values, got 'simplex'"),
     ("constants", {"C_tv": 2}, "unknown constants keys: ['C_tv']"),
     ("constants", {"C_tv_multi": 2, "c_smooth": 1}, "unknown constants keys: ['c_smooth']"),
+    ("seeds", [2, -1], "seed must lie in [0, 2^64), got -1"),
+    ("seeds", [2**64], "seed must lie in [0, 2^64), got 18446744073709551616"),
+    ("max_row_seconds", 1.0, "unknown config keys: ['max_row_seconds']"),
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, key, value, message):
     config = tmp_path / "config.json"

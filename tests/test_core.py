@@ -88,16 +88,6 @@ def test_stream_ahead_starts_offset_doubles_later(offset):
     assert np.array_equal(stream.uniform(m), _pcg64_doubles(state["state"], state["inc"], 0, m))
 
 
-def test_stream_skip_equals_drawing():
-    drawn, skipped = substream(14, 0), substream(14, 0)
-    for stream in (drawn, skipped):
-        stream.integers(0, 10, 3)  # an odd count of 32-bit draws: half an output buffered
-    drawn.uniform(4097)
-    skipped.skip(4097)
-    assert np.array_equal(skipped.integers(0, 10, 5), drawn.integers(0, 10, 5))
-    assert np.array_equal(skipped.uniform(7), drawn.uniform(7))
-
-
 def test_substream_rejects_non_integers():
     with pytest.raises(ValueError):
         substream(1.5, 0)

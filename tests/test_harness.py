@@ -122,14 +122,6 @@ def test_simplex_rows_carry_quartic():
     assert row.simplex_quartic is not None and row.simplex_quartic > 0
 
 
-def test_runtime_cap_logged_and_reflected(caplog):
-    config = small_config(ns=(64,), metrics=(), max_row_seconds=1e-5)
-    with caplog.at_level(logging.WARNING):
-        rows = run_experiment(config)
-    assert rows[0].N < 20_000
-    assert any("capping samples" in rec.message for rec in caplog.records)
-
-
 def test_metrics_sample_stitched_across_chunks():
     n, count, chunk = 1024, 30_000, 12_207
     row = run_experiment(small_config(ns=(n,), samples=count))[0]
