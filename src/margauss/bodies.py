@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .core import RandomStream, batch_mean_se, batch_var_se
+from .core import BATCHES, RandomStream, batch_mean_se, batch_var_se
 
 PRODUCT_KINDS = ("product-uniform", "product-laplace", "product-gaussian")
 BODY_KINDS = PRODUCT_KINDS + ("lp-ball", "simplex")
@@ -72,20 +72,16 @@ class BodySpec:
         return self.kind
 
 
-def parse_body_kind(text: str, n: int, p: Optional[float] = None) -> BodySpec:
-    """Parse a body label such as 'simplex' or 'lp-ball(1.5)'; `p` may not contradict it."""
+def parse_body_kind(text: str, n: int) -> BodySpec:
+    """Parse a body label such as 'simplex' or 'lp-ball(1.5)'."""
     text = text.strip()
     if text.startswith("lp-ball"):
         inner = text[len("lp-ball"):]
-        if inner.startswith("(") and inner.endswith(")"):
-            label_p = math.inf if inner[1:-1] in ("inf", "infinity") else float(inner[1:-1])
-            if p is not None and p != label_p:
-                raise ValueError(f"p = {p:g} conflicts with body {text!r}")
-            p = label_p
-        elif inner:
+        if not (inner.startswith("(") and inner.endswith(")")):
             raise ValueError(f"cannot parse body kind {text!r}")
+        p = math.inf if inner[1:-1] in ("inf", "infinity") else float(inner[1:-1])
         return BodySpec("lp-ball", n, p)
-    return BodySpec(text, n, p)
+    return BodySpec(text, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +349,7 @@ def klartag_variance_check(
 ) -> VarianceCheck:
     """Compare Var(sum_l a_l X_l^2) against the concentration bound 32 sum a_l^2.
 
-    The left side is estimated as the mean of 20 per-batch sample variances.
+    The left side is estimated as the mean of BATCHES per-batch sample variances.
     Only unconditional kinds qualify.
     """
     if not spec.unconditional:
@@ -433,10 +429,10 @@ def third_abs_moment_check(spec: BodySpec, count: int, stream: RandomStream) -> 
         raise ValueError("third-moment check applies to product kinds only")
     pts = sample_body(spec, stream, count).points
     cubes = np.abs(pts) ** 3
-    m = (count // 20) * 20
-    batch_means = cubes[:m].reshape(20, -1, spec.n).mean(axis=1)
+    m = (count // BATCHES) * BATCHES
+    batch_means = cubes[:m].reshape(BATCHES, -1, spec.n).mean(axis=1)
     return ThirdMomentReport(
         estimates=batch_means.mean(axis=0),
-        ses=batch_means.std(axis=0, ddof=1) / math.sqrt(20),
+        ses=batch_means.std(axis=0, ddof=1) / math.sqrt(BATCHES),
         bound=3.0 * math.sqrt(2.0) / 2.0,
     )

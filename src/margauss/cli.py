@@ -37,14 +37,14 @@ def _cmd_frames(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec = bodies.parse_body_kind(args.body, args.n, args.p)
+    spec = bodies.parse_body_kind(args.body, args.n)
     batch = bodies.sample_body(spec, row_stream(resolve_seed(args.seed), 0, "points"), args.count)
     np.savetxt(args.out, batch.points, fmt="%.17g", delimiter=",")
     return 0
 
 
 def _cmd_verify_pair(args) -> int:
-    spec = bodies.parse_body_kind(args.body, args.n, args.p)
+    spec = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
     frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
     pair = stein.PairSpec(body=spec, frame=frame)
@@ -63,7 +63,7 @@ def _cmd_verify_pair(args) -> int:
 
 def _cmd_bounds(args) -> int:
     constants = ConstantsConfig.from_json(args.constants) if args.constants else ConstantsConfig()
-    spec = bodies.parse_body_kind(args.body, args.n, args.p)
+    spec = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
     frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
     reports = [stein.theorem_bounds(frame, spec.geom, constants)]  # thm1, or thm2 for the simplex
@@ -84,7 +84,8 @@ def _cmd_smoothing(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    spec = bodies.parse_body_kind(args.body, args.n, args.p)
+    harness.check_dimension(args.metric, args.k)  # before the draw, which can take seconds
+    spec = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
     frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
     pair = stein.PairSpec(body=spec, frame=frame)
@@ -97,8 +98,6 @@ def _cmd_distance(args) -> int:
 def _cmd_experiment(args) -> int:
     config = harness.ExperimentConfig.from_json(args.config)
     config = replace(config, seeds=resolve_seeds(config.seeds))
-    if args.constants:
-        config = replace(config, constants=ConstantsConfig.from_json(args.constants))
     rows = harness.run_experiment(config, measure_runtime=args.timing)
     harness.emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -116,11 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     marginal.add_argument("--body", required=True)
     marginal.add_argument("--n", required=True, type=int)
     marginal.add_argument("--k", required=True, type=int)
-    marginal.add_argument("--frame", required=True, choices=["walsh", "haar", "coordinate"])
-    marginal.add_argument("--p", type=float, default=None, help="exponent for lp-ball bodies")
+    marginal.add_argument("--frame", required=True, choices=frames.BUILD_KINDS)
 
     p = sub.add_parser("frames", help="print frame functionals as a CSV row")
-    p.add_argument("--kind", required=True, choices=["walsh", "haar", "coordinate"])
+    p.add_argument("--kind", required=True, choices=frames.BUILD_KINDS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -132,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--p", type=float, default=None, help="exponent for lp-ball bodies")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="verification subcommands")
@@ -155,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", parents=[marginal],
                        help="empirical distance of a projected sample to N(0,1)")
-    p.add_argument("--metric", required=True, choices=["w1", "ks", "tv"])
+    p.add_argument("--metric", required=True, choices=harness.METRIC_CHOICES)
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
     p.set_defaults(func=_cmd_distance)
@@ -163,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a sweep from a config file and write CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--constants", default=None, help="JSON file overriding the constants block")
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock runtime_ms (breaks byte-determinism)")
     p.set_defaults(func=_cmd_experiment)

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 ENV_SEED = "MG_SEED"
+BATCHES = 20  # the equal-size batches of every batched standard error
 
 
 def check_seed(seed) -> int:
@@ -107,24 +108,24 @@ def substream(seed: int, stream_id: int) -> RandomStream:
     return RandomStream(check_seed(seed), int(stream_id))
 
 
-def batch_mean_se(values: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
-    """Mean of per-batch means and its standard error (equal-size batches)."""
+def batch_mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of per-batch means and its standard error (BATCHES equal-size batches)."""
     values = np.asarray(values)
-    m = (len(values) // n_batches) * n_batches
-    if m < n_batches:
-        raise ValueError(f"need at least {n_batches} values, got {len(values)}")
-    batch_means = values[:m].reshape(n_batches, -1).mean(axis=1)
-    return float(batch_means.mean()), float(batch_means.std(ddof=1) / np.sqrt(n_batches))
+    m = (len(values) // BATCHES) * BATCHES
+    if m < BATCHES:
+        raise ValueError(f"need at least {BATCHES} values, got {len(values)}")
+    batch_means = values[:m].reshape(BATCHES, -1).mean(axis=1)
+    return float(batch_means.mean()), float(batch_means.std(ddof=1) / np.sqrt(BATCHES))
 
 
-def batch_var_se(values: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
+def batch_var_se(values: np.ndarray) -> tuple[float, float]:
     """Mean of per-batch sample variances and its standard error."""
     values = np.asarray(values)
-    m = (len(values) // n_batches) * n_batches
-    if m < 2 * n_batches:
-        raise ValueError(f"need at least {2 * n_batches} values, got {len(values)}")
-    batch_vars = values[:m].reshape(n_batches, -1).var(axis=1, ddof=1)
-    return float(batch_vars.mean()), float(batch_vars.std(ddof=1) / np.sqrt(n_batches))
+    m = (len(values) // BATCHES) * BATCHES
+    if m < 2 * BATCHES:
+        raise ValueError(f"need at least {2 * BATCHES} values, got {len(values)}")
+    batch_vars = values[:m].reshape(BATCHES, -1).var(axis=1, ddof=1)
+    return float(batch_vars.mean()), float(batch_vars.std(ddof=1) / np.sqrt(BATCHES))
 
 
 @dataclass(frozen=True)

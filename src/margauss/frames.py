@@ -17,7 +17,9 @@ from .core import RandomStream
 
 ORTHO_TOL = 1e-10
 
-FRAME_KINDS = ("walsh", "haar", "coordinate", "custom")
+# The kinds `build_frame` makes; a Frame given its rows directly is "custom".
+BUILD_KINDS = ("walsh", "haar", "coordinate")
+FRAME_KINDS = BUILD_KINDS + ("custom",)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,6 @@ class Density1D:
 
     grid: np.ndarray
     values: np.ndarray
-    h: float
     smooth: bool = False
 
     def __post_init__(self):
@@ -47,51 +46,53 @@ class Density1D:
             raise ValueError("grid must be uniform")
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
-        total = np.trapezoid(values, dx=self.h)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"density integrates to {total}, not 1 within 1e-6")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        total = self.integral()
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"density integrates to {total}, not 1 within 1e-6")
+
+    @property
+    def h(self) -> float:
+        """The grid spacing."""
+        return float(self.grid[1] - self.grid[0])
 
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.h))
 
 
-def _make(grid: np.ndarray | None, values_fn, smooth: bool, renormalize: bool = False) -> Density1D:
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    h = float(grid[1] - grid[0])
+def _make(values_fn, smooth: bool, renormalize: bool = False) -> Density1D:
+    grid = default_grid()
     values = values_fn(grid)
     if renormalize:
-        values = values / np.trapezoid(values, dx=h)
-    return Density1D(grid=grid, values=values, h=h, smooth=smooth)
+        values = values / np.trapezoid(values, dx=float(grid[1] - grid[0]))
+    return Density1D(grid=grid, values=values, smooth=smooth)
 
 
-def gaussian_density(t: float, grid: np.ndarray | None = None) -> Density1D:
-    """Centered Gaussian with scale t, normalized on the grid within 1e-8."""
+def gaussian_density(t: float) -> Density1D:
+    """Centered Gaussian with scale t, normalized on the default grid within 1e-8."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    dens = _make(grid, lambda g: np.exp(-g**2 / (2 * t * t)) / (t * math.sqrt(2 * math.pi)), True)
+    dens = _make(lambda g: np.exp(-g**2 / (2 * t * t)) / (t * math.sqrt(2 * math.pi)), True)
     if abs(dens.integral() - 1.0) > 1e-8:
         raise ValueError("grid too coarse or narrow to hold this Gaussian at 1e-8")
     return dens
 
 
-def uniform_density(grid: np.ndarray | None = None) -> Density1D:
+def uniform_density() -> Density1D:
     """Isotropic uniform density on [-sqrt(3), sqrt(3)] (variance one).
 
     Renormalized on the grid: the sampled indicator carries an O(h) trapezoid
     error at the jumps.
     """
     a = math.sqrt(3.0)
-    return _make(
-        grid, lambda g: np.where(np.abs(g) <= a, 1.0 / (2 * a), 0.0), False, renormalize=True
-    )
+    return _make(lambda g: np.where(np.abs(g) <= a, 1.0 / (2 * a), 0.0), False, renormalize=True)
 
 
-def laplace_density(grid: np.ndarray | None = None) -> Density1D:
+def laplace_density() -> Density1D:
     """Isotropic Laplace density (variance one); not differentiable at 0."""
     b = 1.0 / math.sqrt(2.0)
-    return _make(grid, lambda g: np.exp(-np.abs(g) / b) / (2 * b), False, renormalize=True)
+    return _make(lambda g: np.exp(-np.abs(g) / b) / (2 * b), False, renormalize=True)
 
 
 def shipped_density(name: str) -> Density1D:
@@ -117,17 +118,18 @@ def convolve_l1(f: Density1D, t: float) -> SmoothingResult:
     """
     from scipy.signal import fftconvolve  # imported here: scipy.signal is slow to load
 
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if f.h > t / 10.0 + 1e-15:
         raise ValueError(f"grid spacing {f.h} too coarse for t={t}; need h <= t/10")
-    half = int(math.ceil(12.0 * t / f.h))
+    # The kernel spans +-12 t, cut at the grid's length: mode="same" reads no offset beyond it.
+    half = int(math.ceil(min(12.0 * t / f.h, len(f.grid) - 1)))
     offsets = np.arange(-half, half + 1) * f.h
     kernel = np.exp(-offsets**2 / (2 * t * t)) / (t * math.sqrt(2 * math.pi)) * f.h
     smoothed_vals = fftconvolve(f.values, kernel, mode="same")
     smoothed_vals = np.clip(smoothed_vals, 0.0, None)
     distance = float(np.trapezoid(np.abs(smoothed_vals - f.values), dx=f.h))
-    smoothed = Density1D(grid=f.grid, values=smoothed_vals, h=f.h, smooth=True)
+    smoothed = Density1D(grid=f.grid, values=smoothed_vals, smooth=True)
     return SmoothingResult(distance=distance, f_smoothed=smoothed)
 
 

@@ -27,14 +27,7 @@ from .stein import PairSpec, corollary_bounds, row_pass, theorem_bounds
 
 logger = logging.getLogger(__name__)
 
-CSV_HEADER = (
-    "body,n,k,frame,seed,N,l4_sum,simplex_quartic,bound_d1_thm,bound_dtv_thm,"
-    "bound_d1_cor,bound_dtv_cor,emp_w1,emp_w1_se,emp_ks,emp_tv,runtime_ms"
-)
-
 METRIC_CHOICES = ("w1", "ks", "tv")
-
-SLICED_DIRECTIONS = 64
 
 # The stream map: sweep row idx (its position in sort order) draws each role
 # from its own substream of the row's seed, 4·idx + ROW_STREAMS[role]. Every
@@ -47,17 +40,22 @@ def row_stream(seed: int, idx: int, role: str) -> RandomStream:
     return substream(seed, len(ROW_STREAMS) * idx + ROW_STREAMS[role])
 
 
+def check_dimension(metric: str, k: int) -> None:
+    """Raise a ValueError unless `metric` works at dimension k: ks and tv need k = 1."""
+    if metric != "w1" and k != 1:
+        raise ValueError(f"{metric} is a one-dimensional estimator; use k=1")
+
+
 def estimate_distance(metric: str, w: np.ndarray, directions: RandomStream) -> DistanceEstimate:
     """The `metric` distance of the projected sample w, (count, k), to N(0, I_k).
 
-    w1 is `w1_1d` at k = 1 and `w1_sliced` along SLICED_DIRECTIONS directions
-    drawn from `directions` at k >= 2; ks and tv are one-dimensional.
+    w1 is `w1_1d` at k = 1 and `w1_sliced`, along directions drawn from
+    `directions`, at k >= 2; ks and tv need k = 1 (`check_dimension`).
     """
     k = w.shape[1]
+    check_dimension(metric, k)
     if metric == "w1":
-        return w1_1d(w[:, 0]) if k == 1 else w1_sliced(w, SLICED_DIRECTIONS, directions)
-    if k != 1:
-        raise ValueError(f"{metric} is a one-dimensional estimator; use k=1")
+        return w1_1d(w[:, 0]) if k == 1 else w1_sliced(w, directions)
     return {"ks": ks_1d, "tv": tv_hist_1d}[metric](w[:, 0])
 
 
@@ -69,6 +67,14 @@ def _is(kind: type, value) -> bool:
     """isinstance for JSON config values: a bool is no number, an int is a float."""
     numbers = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
     return isinstance(value, numbers.get(kind, kind)) and not isinstance(value, bool)
+
+
+def _body_label(text: str) -> str:
+    """The CSV label of a body (no label depends on n), or the text where it does not parse."""
+    try:
+        return parse_body_kind(text, 2).label()
+    except ValueError:
+        return text
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,11 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)) or not all(_is(kind, v) for v in value):
                 raise ValueError(f"{name} must be a list of {kind.__name__} values, got {value!r}")
             object.__setattr__(self, name, tuple(value))
+            # Rows are keyed by these values, so a repeat would write two rows with one key.
+            keys = [_body_label(v) for v in value] if name == "bodies" else value
+            repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated[0]!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         for seed in self.seeds:
@@ -133,6 +144,9 @@ class ResultRow:
     emp_ks: Optional[float]
     emp_tv: Optional[float]
     runtime_ms: Optional[float]
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> list[ResultRow]:
@@ -188,10 +202,12 @@ def _compute_row(
 
     emp = {}
     for metric in config.metrics:
-        if metric != "w1" and k != 1:
-            logger.warning("skipping %s for k=%d (one-dimensional estimator)", metric, k)
-        else:
-            emp[metric] = estimate_distance(metric, w, row_stream(seed, idx, "directions"))
+        try:
+            check_dimension(metric, k)
+        except ValueError as exc:
+            logger.warning("skipping %s for k=%d: %s", metric, k, exc)
+            continue
+        emp[metric] = estimate_distance(metric, w, row_stream(seed, idx, "directions"))
     w1 = emp.get("w1")
 
     return ResultRow(

@@ -16,15 +16,19 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import RandomStream
+from .core import BATCHES, RandomStream
 
 MATCHING_CAP = 2048
 
 METRIC_LABELS = ("w1-1d", "w1-matching", "w1-sliced", "ks", "tv-hist")
 
-# Directions per block in `w1_sliced`. OpenBLAS's matrix product gives each
-# block of 4 rows exactly the rows of the full (directions, N) product.
+# `w1_sliced` works its directions in blocks of _SLICED_BLOCK, which must divide
+# SLICED_DIRECTIONS: OpenBLAS's matrix product gives each block of 4 rows exactly
+# the rows of the full (SLICED_DIRECTIONS, N) product.
+SLICED_DIRECTIONS = 64
 _SLICED_BLOCK = 4
+
+TV_BINS, TV_LO, TV_HI = 60, -8.0, 8.0  # the `tv_hist_1d` histogram: 60 bins on [-8, 8]
 
 
 class _StandardNormal:
@@ -89,7 +93,7 @@ def _quantile_w1(sorted_samples: np.ndarray, quantiles: np.ndarray) -> float:
 def w1_1d(samples: np.ndarray) -> DistanceEstimate:
     """Empirical W1 against N(0,1): mean |x_(i) - Phi^{-1}((i - 1/2)/N)|.
 
-    The standard error comes from 20-way batching; the estimator has an
+    The standard error comes from BATCHES-way batching; the estimator has an
     upward sampling bias of order N^{-1/2} (see `w1_noise_floor`).
     """
     samples = _as_1d(samples)
@@ -97,10 +101,10 @@ def w1_1d(samples: np.ndarray) -> DistanceEstimate:
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     value = _quantile_w1(np.sort(samples), _gaussian_quantiles(n))
-    batches = samples[: (n // 20) * 20].reshape(20, -1)
+    batches = samples[: (n // BATCHES) * BATCHES].reshape(BATCHES, -1)
     batch_quantiles = _gaussian_quantiles(batches.shape[1])  # every batch has the same length
     batch_vals = [_quantile_w1(np.sort(batch), batch_quantiles) for batch in batches]
-    se = float(np.std(batch_vals, ddof=1) / math.sqrt(20))
+    se = float(np.std(batch_vals, ddof=1) / math.sqrt(BATCHES))
     return DistanceEstimate(metric="w1-1d", value=value, se_or_bias_note=se, count=n, k=1)
 
 
@@ -145,35 +149,30 @@ def w1_matching(samples_a: np.ndarray, samples_b: np.ndarray) -> DistanceEstimat
     )
 
 
-def w1_sliced(samples: np.ndarray, directions: int, stream: RandomStream) -> DistanceEstimate:
-    """Average 1-D W1 to N(0,1) over uniform random projection directions.
+def w1_sliced(samples: np.ndarray, stream: RandomStream) -> DistanceEstimate:
+    """Average 1-D W1 to N(0,1) over SLICED_DIRECTIONS uniform random directions.
 
     A lower-bound proxy for the k-dimensional W1 distance to the standard
     Gaussian (projections are 1-Lipschitz); SE is across directions.
     Directions are projected, sorted and compared four at a time in one
     reused (4, N) buffer: beyond the samples, the working memory is that
-    buffer and the N Gaussian quantiles, however many directions there are.
+    buffer and the N Gaussian quantiles.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("expected samples of shape (N, k)")
-    if directions < 16:
-        raise ValueError(f"need at least 16 directions, got {directions}")
     n, k = samples.shape
-    dirs = stream.normal((directions, k))
+    dirs = stream.normal((SLICED_DIRECTIONS, k))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     quantiles = _gaussian_quantiles(n)
     block = np.empty((_SLICED_BLOCK, n))  # each sort runs along a contiguous row
-    per_dir = np.empty(directions)
-    for lo in range(0, directions, _SLICED_BLOCK):
-        # A shorter last block could round differently (one row goes through a
-        # matrix-vector product), so the last four directions are redone instead.
-        lo = min(lo, directions - _SLICED_BLOCK)
+    per_dir = np.empty(SLICED_DIRECTIONS)
+    for lo in range(0, SLICED_DIRECTIONS, _SLICED_BLOCK):
         np.matmul(dirs[lo : lo + _SLICED_BLOCK], samples.T, out=block)
         block.sort(axis=1)
         block -= quantiles
         per_dir[lo : lo + _SLICED_BLOCK] = np.abs(block, out=block).mean(axis=1)
-    se = float(per_dir.std(ddof=1) / math.sqrt(directions))
+    se = float(per_dir.std(ddof=1) / math.sqrt(SLICED_DIRECTIONS))
     return DistanceEstimate(
         metric="w1-sliced", value=float(per_dir.mean()), se_or_bias_note=se, count=n, k=k
     )
@@ -202,29 +201,21 @@ def ks_1d(samples: np.ndarray) -> DistanceEstimate:
     return DistanceEstimate(metric="ks", value=value, se_or_bias_note=se, count=n, k=1)
 
 
-def tv_hist_1d(
-    samples: np.ndarray,
-    bins: int = 60,
-    lo: float = -8.0,
-    hi: float = 8.0,
-) -> DistanceEstimate:
-    """Histogram total-variation distance to N(0,1) on [lo, hi].
+def tv_hist_1d(samples: np.ndarray) -> DistanceEstimate:
+    """Histogram total-variation distance to N(0,1), TV_BINS bins on [TV_LO, TV_HI].
 
     Sum over bins of |empirical - Gaussian| mass plus both tail masses, in
     the density-L1 normalization (so the value is at most 2). Biased upward
     by bin noise O(sqrt(bins/N)) and downward by discretization.
     """
     samples = _as_1d(samples)
-    if bins < 40:
-        raise ValueError(f"need at least 40 bins, got {bins}")
-    if lo > -6.0 or hi < 6.0:
-        raise ValueError("range must contain [-6, 6]")
     n = len(samples)
-    counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(samples, bins=TV_BINS, range=(TV_LO, TV_HI))
     emp = counts / n
     gauss_mass = np.diff(norm.cdf(edges))
     emp_tail = 1.0 - emp.sum()
-    gauss_tail = float(norm.cdf(lo) + norm.sf(hi))
+    gauss_tail = float(norm.cdf(TV_LO) + norm.sf(TV_HI))
     value = float(np.abs(emp - gauss_mass).sum() + emp_tail + gauss_tail)
-    note = f"upward bias O(sqrt(bins/N)) ~ {math.sqrt(bins / n):.1e}, downward discretization bias"
+    bias = math.sqrt(TV_BINS / n)
+    note = f"upward bias O(sqrt(bins/N)) ~ {bias:.1e}, downward discretization bias"
     return DistanceEstimate(metric="tv-hist", value=value, se_or_bias_note=note, count=n, k=1)

@@ -132,17 +132,13 @@ def test_experiment_round_trip(tmp_path, capsys):
 
 
 def test_experiment_constants_override(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "bodies": ["product-uniform"], "ns": [16], "ks": [1],
-        "frames": ["walsh"], "samples": 500, "seeds": [2], "metrics": [],
-    }))
-    constants = tmp_path / "constants.json"
-    constants.write_text(json.dumps({"C_tv_multi": 5.0}))
+    config = {"bodies": ["product-uniform"], "ns": [16], "ks": [1],
+              "frames": ["walsh"], "samples": 500, "seeds": [2], "metrics": []}
     base, scaled = tmp_path / "base.csv", tmp_path / "scaled.csv"
-    run_cli(capsys, "experiment", "--config", str(config), "--out", str(base))
-    run_cli(capsys, "experiment", "--config", str(config), "--out", str(scaled),
-            "--constants", str(constants))
+    for out, constants in ((base, {}), (scaled, {"constants": {"C_tv_multi": 5.0}})):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, **constants}))
+        run_cli(capsys, "experiment", "--config", str(path), "--out", str(out))
     row_base = read_result_csv(base)[0]
     row_scaled = read_result_csv(scaled)[0]
     assert row_scaled.bound_dtv_thm == pytest.approx(5.0 * row_base.bound_dtv_thm)
@@ -282,12 +278,8 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
       "--frame", "haar", "--samples", "0", "--seed", "1"], "count must be >= 1, got 0"),
     (["distance", "--metric", "w1", "--body", "product-uniform", "--n", "8", "--k", "1",
       "--frame", "haar", "--samples", "-5", "--seed", "1"], "count must be >= 1, got -5"),
-    (["distance", "--metric", "w1", "--body", "simplex", "--p", "3", "--n", "8", "--k", "1",
-      "--frame", "haar", "--samples", "500", "--seed", "1"],
-     "p is only meaningful for lp-ball, got kind 'simplex'"),
-    (["distance", "--metric", "w1", "--body", "lp-ball(1.5)", "--p", "3", "--n", "8",
-      "--k", "1", "--frame", "haar", "--samples", "500", "--seed", "1"],
-     "p = 3 conflicts with body 'lp-ball(1.5)'"),
+    (["smoothing", "--density", "uniform", "--t", "inf"], "t must be positive and finite, got inf"),
+    (["smoothing", "--density", "laplace", "--t", "nan"], "t must be positive and finite, got nan"),
     (["frames", "--kind", "haar", "--n", "8", "--k", "2", "--seed", str(2**64 + 1)],
      "seed must lie in [0, 2^64), got 18446744073709551617"),
     (["verify", "pair", "--body", "simplex", "--n", "8", "--k", "2", "--frame", "haar",
@@ -315,6 +307,13 @@ SMALL_CONFIG = {"bodies": ["product-uniform"], "ns": [16], "ks": [1], "frames": 
     ("seeds", [2, -1], "seed must lie in [0, 2^64), got -1"),
     ("seeds", [2**64], "seed must lie in [0, 2^64), got 18446744073709551616"),
     ("max_row_seconds", 1.0, "unknown config keys: ['max_row_seconds']"),
+    # Rows are keyed by (body, n, k, frame, seed): a repeat would write rows with one key.
+    ("ns", [16, 16], "ns repeats 16"),
+    ("seeds", [2, 2], "seeds repeats 2"),
+    ("ks", [1, 1], "ks repeats 1"),
+    ("frames", ["walsh", "walsh"], "frames repeats 'walsh'"),
+    ("metrics", ["w1", "w1"], "metrics repeats 'w1'"),
+    ("bodies", ["lp-ball(1.5)", "lp-ball(1.50)"], "bodies repeats 'lp-ball(1.5)'"),
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, key, value, message):
     config = tmp_path / "config.json"
@@ -328,21 +327,34 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, key, value, message
     assert "Traceback" not in err and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["bounds", "experiment"])
+@pytest.mark.parametrize("command", ["bounds"])
 def test_constants_file_with_c_smooth_is_a_usage_error(tmp_path, capsys, command):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SMALL_CONFIG))
     constants = tmp_path / "constants.json"
     constants.write_text(json.dumps({"C_tv_multi": 2.0, "c_smooth": 1.0}))
-    argv = {
-        "bounds": ["bounds", "--body", "simplex", "--n", "8", "--k", "1", "--frame", "haar"],
-        "experiment": ["experiment", "--config", str(config), "--out", str(tmp_path / "r.csv")],
-    }[command]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--constants", str(constants)])
+        main([command, "--body", "simplex", "--n", "8", "--k", "1", "--frame", "haar",
+              "--constants", str(constants)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         "margauss: error: unknown constants keys: ['c_smooth']"
+    )
+
+
+def test_distance_checks_the_dimension_before_drawing(capsys, monkeypatch):
+    # A draw of many points can take seconds; a ks or tv distance at k = 2 is
+    # a usage error however many points are asked for.
+    from margauss import stein
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("distance drew its sample before the usage error")
+
+    monkeypatch.setattr(stein, "row_pass", no_draw)
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--metric", "ks", "--body", "product-uniform", "--n", "1024",
+              "--k", "2", "--frame", "haar", "--samples", "1000000", "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "margauss: error: ks is a one-dimensional estimator; use k=1"
     )
 
 
@@ -443,6 +455,18 @@ def test_sweep_row_peak_memory_stays_small(tmp_path):
     rise = float(result.stdout.splitlines()[-1].removeprefix("rise="))
     assert rise < 40.0
     assert read_result_csv(out)[0].bound_d1_cor is not None
+
+
+def test_smoothing_wide_kernel_within_address_space_limit():
+    # At t = 1e4 a kernel of +-12 t holds 2.4e8 points, 1.79 GiB; mode="same"
+    # reads no offset beyond the grid's 24001 points, so the kernel stops there.
+    # The smoothed mass then leaves the grid: a usage error, not a MemoryError.
+    result = run_under_address_limit(
+        "sys.exit(main(['smoothing', '--density', 'uniform', '--t', '1e4']))\n", 1.0
+    )
+    assert result.returncode == 2, result.stderr[-2000:]
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith("margauss: error: density integrates to")
 
 
 def test_sliced_w1_within_address_space_limit():

@@ -42,9 +42,9 @@ def test_gaussian_density_rejects_bad_t():
 def test_density_validation():
     grid = default_grid()
     with pytest.raises(ValueError):
-        Density1D(grid=grid, values=np.full_like(grid, 0.5), h=0.001)
+        Density1D(grid=grid, values=np.full_like(grid, 0.5))
     with pytest.raises(ValueError):
-        Density1D(grid=grid, values=-np.ones_like(grid) / 24, h=0.001)
+        Density1D(grid=grid, values=-np.ones_like(grid) / 24)
 
 
 def test_shipped_densities_normalized_and_bounded():
