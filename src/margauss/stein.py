@@ -109,48 +109,90 @@ class ConditionalResiduals:
 
 
 def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
-    """Verify the conditional identities by exhaustive symmetry enumeration.
+    """Verify the conditional identities at one point (n,) or a batch (c, n).
 
     Averages the increment (and its outer square) exactly over all n
     reflection indices, or all ordered vertex transpositions, and compares
     against -lambda W and 2 lambda I + E_ij(x) from the closed forms. The
     transpositions are enumerated in vertex coordinates; the simplex closed
     form is the edge-sum identity of the module docstring.
+
+    Each residual is the worst over the batch: the largest entry of any
+    point, NaN if any point gives NaN, and 0 for a batch of no points. The
+    batch is worked through in tiles of points; for the simplex, each tile
+    also runs over blocks of vertices a. Tiles and blocks are sized from
+    `_TILE_BUDGET`, so the memory used beyond x does not grow with the batch.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = spec.frame.rows
     k, n = rows.shape
+    pts = np.atleast_2d(x)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"x must be one point ({n},) or a batch (c, {n}), got shape {x.shape}")
     lam = spec.lam
-    w = project(spec.frame, x)
     eye = np.eye(k)
-    if spec.body.kind == "simplex":
+    lin_res = sec_res = np.float64(0.0)
+    simplex = spec.body.kind == "simplex"
+    if simplex:
         v = spec.body.geom.vertices
-        gamma = v @ x
         alpha = rows @ v.T
-        c2 = n / (2.0 * (n + 1.0))
-        # u_ab . x = c dg[a, b] and <theta_i, u_ab> = c da[i, a, b]; a = b adds 0.
-        # Blocks of vertices a keep da, (k, block * (n+1)), within the tile budget.
-        lin_sum = np.zeros(k)
-        sec_sum = np.zeros((k, k))
-        block = max(1, _TILE_BUDGET // (k * (n + 1)))
-        for lo in range(0, n + 1, block):
-            dg = (gamma[lo : lo + block, None] - gamma[None, :]).ravel()
-            da = (alpha[:, lo : lo + block, None] - alpha[:, None, :]).reshape(k, -1)
-            lin_sum += da @ dg
-            sec_sum += (da * dg**2) @ da.T
+        m = n + 1
+        c2 = n / (2.0 * m)
         ordered = n * (n + 1.0)
-        lin_enum = -2.0 * c2 * lin_sum / ordered
-        sec_enum = 4.0 * c2**2 * sec_sum / ordered
-        s = _edge_sums(gamma[None, :], alpha, np.array([x @ x]), w[None, :])
-        e_closed = (4.0 / n) * (s.reshape(k, k) / (n + 1) - eye)
+        # Tiles of c points and blocks of `block` vertices a keep the (c, block * m)
+        # increments, the (k*k, block * m) products and the (c, k*k) sums within
+        # the tile budget, unless k*k*m alone exceeds it, as in _edge_sums.
+        pairs = max(1, _TILE_BUDGET // m)
+        most = max(1, min(pairs, _TILE_BUDGET // (k * k)))
     else:
-        d = -2.0 * rows * x[None, :]  # increment for each reflection index
-        lin_enum = d.mean(axis=1)
-        sec_enum = (d @ d.T) / n
-        e_closed = (4.0 / n) * ((rows * x**2) @ rows.T - eye)
-    lin_res = float(np.max(np.abs(lin_enum + lam * w)))
-    sec_res = float(np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed))))
-    return ConditionalResiduals(linearity_residual=lin_res, second_moment_residual=sec_res)
+        # Tiles of c points keep the (c, k, n) increments within the tile budget.
+        # The closed form's coordinatewise theta_i theta_j, (k*k, n), is formed
+        # once if it fits in the budget; otherwise each point scales the rows.
+        most = max(1, _TILE_BUDGET // (k * n))
+        increments = np.empty((min(len(pts), most), k, n))
+        coord_products = None
+        if k * k * n <= _TILE_BUDGET:
+            coord_products = (rows[:, None, :] * rows[None, :, :]).reshape(k * k, n)
+    # Tiles of at most `most` points whose sizes differ by at most one, so that
+    # no tile is a small remainder.
+    count = len(pts)
+    tiles = -(-count // most)
+    for t in range(tiles):
+        xt = pts[count * t // tiles : count * (t + 1) // tiles]
+        c = len(xt)
+        w = project(spec.frame, xt)
+        if simplex:
+            gamma = xt @ v.T
+            # u_ab . x = sqrt(c2) dg[a, b] and <theta_i, u_ab> = sqrt(c2) da[i, a, b];
+            # a = b adds 0.
+            lin_sum = np.zeros((c, k))
+            sec_sum = np.zeros((c, k * k))
+            block = max(1, pairs // max(c, k * k))
+            for lo in range(0, m, block):
+                dg = (gamma[:, lo : lo + block, None] - gamma[:, None, :]).reshape(c, -1)
+                da = (alpha[:, lo : lo + block, None] - alpha[:, None, :]).reshape(k, -1)
+                lin_sum += dg @ da.T
+                products = (da[:, None, :] * da[None, :, :]).reshape(k * k, -1)
+                sec_sum += np.square(dg, out=dg) @ products.T
+            lin_enum = -2.0 * c2 * lin_sum / ordered
+            sec_enum = (4.0 * c2**2 / ordered) * sec_sum.reshape(c, k, k)
+            s = _edge_sums(gamma, alpha, np.einsum("cn,cn->c", xt, xt), w)
+            e_closed = (4.0 / n) * (s.reshape(c, k, k) / m - eye)
+        else:
+            # (c, k, n): the increment of each reflection index, in a buffer reused by every tile
+            d = np.multiply(-2.0 * rows, xt[:, None, :], out=increments[:c])
+            lin_enum = d.mean(axis=2)
+            sec_enum = (d @ d.transpose(0, 2, 1)) / n
+            if coord_products is not None:
+                e_sums = np.square(xt) @ coord_products.T
+            else:
+                e_sums = (rows * np.square(xt)[:, None, :]).reshape(c * k, n) @ rows.T
+            e_closed = (4.0 / n) * (e_sums.reshape(c, k, k) - eye)
+        lin_res = np.maximum(lin_res, np.max(np.abs(lin_enum + lam * w)))
+        sec_res = np.maximum(sec_res, np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed))))
+    return ConditionalResiduals(
+        linearity_residual=float(lin_res), second_moment_residual=float(sec_res)
+    )
 
 
 def _edge_sums(

@@ -69,6 +69,25 @@ def test_verify_pair_passes(capsys):
     assert "linearity_residual=" in out and "second_moment_residual=" in out
 
 
+def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
+    # Python's max(0.0, nan) is 0.0, so a NaN residual must not be reduced with it.
+    draw = bodies.sample_body
+
+    def nan_in_the_middle(*args, **kwargs):
+        batch = draw(*args, **kwargs)
+        batch.points[len(batch.points) // 2] = np.nan
+        return batch
+
+    monkeypatch.setattr(bodies, "sample_body", nan_in_the_middle)
+    code, out = run_cli(
+        capsys, "verify", "pair", "--body", "product-uniform", "--n", "8", "--k", "2",
+        "--frame", "haar", "--samples", "9", "--seed", "3",
+    )
+    assert code == 1
+    assert "linearity_residual=nan" in out and "second_moment_residual=nan" in out
+    assert "FAIL" in out
+
+
 def test_bounds_rows_simplex_k1(capsys, tmp_path):
     constants = tmp_path / "constants.json"
     constants.write_text(json.dumps({"C_tv_simplex1d": 2.0}))
@@ -415,6 +434,18 @@ def test_simplex_n1024_within_address_space_limit(tmp_path):
     assert "PASS" in result.stdout
     rows = read_result_csv(out)
     assert len(rows) == 1 and rows[0].N == 10_000 and rows[0].bound_d1_cor is not None
+
+
+def test_verify_pair_draws_in_tiles_within_address_space_limit():
+    # One draw of 1.4e5 points at n = 1024 is 1.15 GB; verify pair draws and
+    # checks a tile of points at a time.
+    result = run_under_address_limit(
+        "sys.exit(main(['verify', 'pair', '--body', 'product-uniform', '--n', '1024',\n"
+        "               '--k', '1', '--frame', 'walsh', '--samples', '140000', '--seed', '1']))\n",
+        1.0,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "PASS (tolerance 1e-10, 140000 samples)" in result.stdout
 
 
 def test_distance_draws_in_chunks_within_address_space_limit():

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from margauss import stein
-from margauss.bodies import BodySpec, regular_simplex, sample_body
+from margauss.bodies import BodySpec, parse_body_kind, regular_simplex, sample_body
 from margauss.core import ConstantsConfig, substream
 from margauss.frames import (
     Frame,
@@ -147,6 +147,55 @@ def test_conditional_checks_zero_point():
     res = conditional_checks(np.zeros(16), spec)
     assert res.linearity_residual == 0.0
     assert res.second_moment_residual == 0.0
+
+
+BATCH_BODIES = ["product-uniform", "lp-ball(1.5)", "simplex"]
+
+
+def batch_spec_and_points(label, k, monkeypatch, n=16, count=25):
+    # 8 * 17 elements: simplex tiles of at most 8 points (6, 6, 6, 7), with 1
+    # vertex a block (17 blocks); product tiles of at most 4 (k = 2) or 2
+    # (k = 3) points. At k = 3 the product closed form's k * k * n = 144
+    # coordinate products exceed the budget, so each point scales the frame
+    # rows instead.
+    monkeypatch.setattr(stein, "_TILE_BUDGET", 8 * 17)
+    body = parse_body_kind(label, n)
+    spec = PairSpec(body=body, frame=haar_frame(n, k, substream(45, 7)))
+    pts = sample_body(body, substream(46, n), count).points
+    return spec, pts
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("label", BATCH_BODIES)
+def test_batched_checks_report_the_worst_point(label, k, monkeypatch):
+    spec, pts = batch_spec_and_points(label, k, monkeypatch)
+    res = conditional_checks(pts, spec)
+    assert res.linearity_residual < RESIDUAL_TOL
+    assert res.second_moment_residual < RESIDUAL_TOL
+
+    # A wrong lambda leaves |delta lambda| |W_ci| at each point and index; the
+    # batch must report the largest, here on the last point, in the last tile.
+    worst = int(np.argmax(np.max(np.abs(project(spec.frame, pts)), axis=1)))
+    pts[[worst, -1]] = pts[[-1, worst]]
+    w_max = float(np.max(np.abs(project(spec.frame, pts[-1]))))
+    true_lam = spec.lam
+    monkeypatch.setattr(PairSpec, "lam", property(lambda self: true_lam + 0.5))
+    res = conditional_checks(pts, spec)
+    assert res.linearity_residual == pytest.approx(0.5 * w_max, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("label", BATCH_BODIES)
+def test_batched_checks_edge_cases(label, k, monkeypatch):
+    spec, pts = batch_spec_and_points(label, k, monkeypatch)
+    empty = conditional_checks(pts[:0], spec)
+    assert empty.linearity_residual == 0.0 and empty.second_moment_residual == 0.0
+    assert conditional_checks(pts[3], spec) == conditional_checks(pts[3:4], spec)
+    with pytest.raises(ValueError, match="one point"):
+        conditional_checks(pts.ravel()[:32], spec)  # two points' worth, flattened
+    pts[12] = np.nan  # a point in a middle tile
+    res = conditional_checks(pts, spec)
+    assert math.isnan(res.linearity_residual) and math.isnan(res.second_moment_residual)
 
 
 def test_term_e_coordinate_frame_quadrature_oracle():
