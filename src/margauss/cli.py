@@ -50,10 +50,10 @@ def _cmd_verify_pair(args) -> int:
     pair = stein.PairSpec(body=spec, frame=frame)
     if args.samples < 1:
         raise ValueError(f"count must be >= 1, got {args.samples}")
-    # Points are drawn into one reused tile and checked a tile at a time;
+    # Points are drawn into one reused buffer and checked a tile at a time;
     # np.maximum keeps a NaN residual, where Python's max would drop it.
     stream = row_stream(seed, 0, "points")
-    buf = np.empty((min(args.samples, max(1, stein._TILE_BUDGET // args.n)), args.n))
+    buf = np.empty((min(args.samples, stein.check_tile(pair)), args.n))
     worst_lin = worst_sec = 0.0
     for start in range(0, args.samples, len(buf)):
         count = min(len(buf), args.samples - start)

@@ -108,6 +108,19 @@ class ConditionalResiduals:
     second_moment_residual: float
 
 
+def check_tile(spec: PairSpec) -> int:
+    """Points `conditional_checks` works on at a time, sized from `_TILE_BUDGET`.
+
+    For a product body a tile's (c, k, n) reflection increments fit in the
+    budget. For the simplex a tile's (c, k*k) sums fit, and each of its points
+    has room for at least one block of vertices a, n + 1 transpositions each.
+    """
+    k, n = spec.frame.rows.shape
+    if spec.body.kind == "simplex":
+        return max(1, min(_TILE_BUDGET // (n + 1), _TILE_BUDGET // (k * k)))
+    return max(1, _TILE_BUDGET // (k * n))
+
+
 def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     """Verify the conditional identities at one point (n,) or a batch (c, n).
 
@@ -119,9 +132,10 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
 
     Each residual is the worst over the batch: the largest entry of any
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
-    batch is worked through in tiles of points; for the simplex, each tile
-    also runs over blocks of vertices a. Tiles and blocks are sized from
-    `_TILE_BUDGET`, so the memory used beyond x does not grow with the batch.
+    batch is worked through in tiles of `check_tile(spec)` points; for the
+    simplex, each tile also runs over blocks of vertices a. Tiles and blocks
+    are sized from `_TILE_BUDGET`, so the memory used beyond x does not grow
+    with the batch.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = spec.frame.rows
@@ -132,6 +146,7 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     lam = spec.lam
     eye = np.eye(k)
     lin_res = sec_res = np.float64(0.0)
+    tile = check_tile(spec)
     simplex = spec.body.kind == "simplex"
     if simplex:
         v = spec.body.geom.vertices
@@ -139,26 +154,16 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
         m = n + 1
         c2 = n / (2.0 * m)
         ordered = n * (n + 1.0)
-        # Tiles of c points and blocks of `block` vertices a keep the (c, block * m)
-        # increments, the (k*k, block * m) products and the (c, k*k) sums within
-        # the tile budget, unless k*k*m alone exceeds it, as in _edge_sums.
+        # Blocks of `block` vertices a keep the (c, block * m) increments and the
+        # (k*k, block * m) products within the tile budget, unless k*k*m alone
+        # exceeds it, as in _edge_sums.
         pairs = max(1, _TILE_BUDGET // m)
-        most = max(1, min(pairs, _TILE_BUDGET // (k * k)))
     else:
-        # Tiles of c points keep the (c, k, n) increments within the tile budget.
-        # The closed form's coordinatewise theta_i theta_j, (k*k, n), is formed
-        # once if it fits in the budget; otherwise each point scales the rows.
-        most = max(1, _TILE_BUDGET // (k * n))
-        increments = np.empty((min(len(pts), most), k, n))
-        coord_products = None
-        if k * k * n <= _TILE_BUDGET:
-            coord_products = (rows[:, None, :] * rows[None, :, :]).reshape(k * k, n)
-    # Tiles of at most `most` points whose sizes differ by at most one, so that
-    # no tile is a small remainder.
-    count = len(pts)
-    tiles = -(-count // most)
-    for t in range(tiles):
-        xt = pts[count * t // tiles : count * (t + 1) // tiles]
+        # (c, k, n) reflection increments, then the rows scaled by x^2 for the
+        # closed form: one buffer reused by both and by every tile
+        scratch = np.empty((min(len(pts), tile), k, n))
+    for lo in range(0, len(pts), tile):
+        xt = pts[lo : lo + tile]
         c = len(xt)
         w = project(spec.frame, xt)
         if simplex:
@@ -168,9 +173,9 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
             lin_sum = np.zeros((c, k))
             sec_sum = np.zeros((c, k * k))
             block = max(1, pairs // max(c, k * k))
-            for lo in range(0, m, block):
-                dg = (gamma[:, lo : lo + block, None] - gamma[:, None, :]).reshape(c, -1)
-                da = (alpha[:, lo : lo + block, None] - alpha[:, None, :]).reshape(k, -1)
+            for a in range(0, m, block):
+                dg = (gamma[:, a : a + block, None] - gamma[:, None, :]).reshape(c, -1)
+                da = (alpha[:, a : a + block, None] - alpha[:, None, :]).reshape(k, -1)
                 lin_sum += dg @ da.T
                 products = (da[:, None, :] * da[None, :, :]).reshape(k * k, -1)
                 sec_sum += np.square(dg, out=dg) @ products.T
@@ -179,14 +184,11 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
             s = _edge_sums(gamma, alpha, np.einsum("cn,cn->c", xt, xt), w)
             e_closed = (4.0 / n) * (s.reshape(c, k, k) / m - eye)
         else:
-            # (c, k, n): the increment of each reflection index, in a buffer reused by every tile
-            d = np.multiply(-2.0 * rows, xt[:, None, :], out=increments[:c])
+            d = np.multiply(-2.0 * rows, xt[:, None, :], out=scratch[:c])
             lin_enum = d.mean(axis=2)
             sec_enum = (d @ d.transpose(0, 2, 1)) / n
-            if coord_products is not None:
-                e_sums = np.square(xt) @ coord_products.T
-            else:
-                e_sums = (rows * np.square(xt)[:, None, :]).reshape(c * k, n) @ rows.T
+            scaled = np.multiply(rows, np.square(xt)[:, None, :], out=scratch[:c])
+            e_sums = scaled.reshape(c * k, n) @ rows.T
             e_closed = (4.0 / n) * (e_sums.reshape(c, k, k) - eye)
         lin_res = np.maximum(lin_res, np.max(np.abs(lin_enum + lam * w)))
         sec_res = np.maximum(sec_res, np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed))))

@@ -153,11 +153,9 @@ BATCH_BODIES = ["product-uniform", "lp-ball(1.5)", "simplex"]
 
 
 def batch_spec_and_points(label, k, monkeypatch, n=16, count=25):
-    # 8 * 17 elements: simplex tiles of at most 8 points (6, 6, 6, 7), with 1
-    # vertex a block (17 blocks); product tiles of at most 4 (k = 2) or 2
-    # (k = 3) points. At k = 3 the product closed form's k * k * n = 144
-    # coordinate products exceed the budget, so each point scales the frame
-    # rows instead.
+    # 8 * 17 elements: simplex tiles of 8, 8, 8 and 1 points, with 1 vertex a
+    # block in the full tiles (17 blocks); product tiles of 4 (k = 2) or 2
+    # (k = 3) points and a last tile of 1.
     monkeypatch.setattr(stein, "_TILE_BUDGET", 8 * 17)
     body = parse_body_kind(label, n)
     spec = PairSpec(body=body, frame=haar_frame(n, k, substream(45, 7)))
