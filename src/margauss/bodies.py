@@ -39,8 +39,9 @@ class BodySpec:
         if self.kind == "lp-ball":
             if self.p is None:
                 raise ValueError("lp-ball requires p")
-            if not self.p >= 1:
-                raise ValueError(f"lp-ball requires p >= 1, got {self.p}")
+            if not 1 <= self.p < math.inf:
+                raise ValueError(f"lp-ball needs 1 <= p < inf, got {self.p} "
+                                 "(the p = inf ball is product-uniform)")
         elif self.p is not None:
             raise ValueError(f"p is only meaningful for lp-ball, got kind {self.kind!r}")
         if self.kind == "simplex" and self.n < 2:
@@ -79,8 +80,7 @@ def parse_body_kind(text: str, n: int) -> BodySpec:
         inner = text[len("lp-ball"):]
         if not (inner.startswith("(") and inner.endswith(")")):
             raise ValueError(f"cannot parse body kind {text!r}")
-        p = math.inf if inner[1:-1] in ("inf", "infinity") else float(inner[1:-1])
-        return BodySpec("lp-ball", n, p)
+        return BodySpec("lp-ball", n, float(inner[1:-1]))
     return BodySpec(text, n)
 
 
@@ -151,10 +151,8 @@ def lp_ball_coordinate_variance(n: int, p: float) -> float:
     """Coordinate variance of the uniform distribution on the unit lp ball.
 
     Gamma-ratio closed form from the independent-normalization representation;
-    reduces to 2/((n+1)(n+2)) at p=1 and 1/(n+2) at p=2. p=inf is the cube.
+    reduces to 2/((n+1)(n+2)) at p=1 and 1/(n+2) at p=2.
     """
-    if math.isinf(p):
-        return 1.0 / 3.0
     return math.exp(
         gammaln(3.0 / p) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0) + gammaln(n / p + 1.0)
     )
@@ -275,9 +273,6 @@ def vertex_projection(gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def _sample_lp_ball(n: int, p: float, stream: RandomStream, count: int) -> np.ndarray:
-    if math.isinf(p):
-        cube = 2.0 * stream.uniform((count, n)) - 1.0
-        return cube / math.sqrt(1.0 / 3.0)
     # |g_i| ~ Gamma(1/p)^(1/p) gives density proportional to exp(-|t|^p);
     # dividing by (sum |g_i|^p + E)^(1/p) lands uniformly in the unit ball.
     mag = stream.gamma(1.0 / p, (count, n)) ** (1.0 / p)

@@ -23,7 +23,7 @@ from .bodies import parse_body_kind
 from .core import ConstantsConfig, RandomStream, check_seed, substream
 from .frames import build_frame, frame_functionals
 from .metrics import DistanceEstimate, ks_1d, tv_hist_1d, w1_1d, w1_sliced
-from .stein import PairSpec, corollary_bounds, row_pass, theorem_bounds
+from .stein import PAIR_TERM_MIN_COUNT, PairSpec, corollary_bounds, row_pass, theorem_bounds
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +186,7 @@ def _compute_row(
     thm = theorem_bounds(frame, body.geom, config.constants)
     n_samples = config.samples
 
-    indices = row_stream(seed, idx, "indices") if n_samples >= 10_000 else None
+    indices = row_stream(seed, idx, "indices") if n_samples >= PAIR_TERM_MIN_COUNT else None
     if indices is None:
         logger.warning(
             "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",

@@ -86,6 +86,12 @@ def _gaussian_quantiles(n: int) -> np.ndarray:
     return norm.ppf((np.arange(1, n + 1) - 0.5) / n)
 
 
+def _check_w1_count(n: int) -> None:
+    """The sample minimum of both W1 estimators, `w1_1d` and `w1_sliced`."""
+    if n < 100:
+        raise ValueError(f"need at least 100 samples, got {n}")
+
+
 def _quantile_w1(sorted_samples: np.ndarray, quantiles: np.ndarray) -> float:
     return float(np.abs(sorted_samples - quantiles).mean())
 
@@ -98,8 +104,7 @@ def w1_1d(samples: np.ndarray) -> DistanceEstimate:
     """
     samples = _as_1d(samples)
     n = len(samples)
-    if n < 100:
-        raise ValueError(f"need at least 100 samples, got {n}")
+    _check_w1_count(n)
     value = _quantile_w1(np.sort(samples), _gaussian_quantiles(n))
     batches = samples[: (n // BATCHES) * BATCHES].reshape(BATCHES, -1)
     batch_quantiles = _gaussian_quantiles(batches.shape[1])  # every batch has the same length
@@ -162,6 +167,7 @@ def w1_sliced(samples: np.ndarray, stream: RandomStream) -> DistanceEstimate:
     if samples.ndim != 2:
         raise ValueError("expected samples of shape (N, k)")
     n, k = samples.shape
+    _check_w1_count(n)
     dirs = stream.normal((SLICED_DIRECTIONS, k))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     quantiles = _gaussian_quantiles(n)

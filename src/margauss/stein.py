@@ -19,7 +19,8 @@ sum_a alpha_ia = 0 and the tight frame sum_a <y, v_a> v_a = ((n+1)/n) y give
     sum_{a<b} <theta_i, u_ab><theta_j, u_ab> (u_ab . x)^2
         = (c^4/2) [2(n+1) sum_a alpha_ia alpha_ja gamma_a^2 + 2r delta_ij |x|^2 + 4r W_i W_j],
 
-so E_ij costs O(n k^2) per point instead of O(n^2 k).
+so E_ij costs O(n k^2) per point instead of O(n^2 k). Each body has one closed
+form of E_ij, `_moment_sums`, which `row_pass` and `conditional_checks` both call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,6 +54,8 @@ BOUND_SOURCES = (
 
 # Elements of one row-pass tile or vertex block (1 MiB of float64), sized to stay in L2 cache.
 _TILE_BUDGET = 131_072
+# Draws a row needs before its pair terms, and so its semi-empirical bounds, are estimated.
+PAIR_TERM_MIN_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,18 @@ class PairSpec:
     @property
     def n(self) -> int:
         return self.body.n
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """theta (k, n) for a product body; alpha_ia = <theta_i, v_a> (k, n+1) for the simplex."""
+        rows = self.frame.rows
+        return rows @ self.body.geom.vertices.T if self.body.kind == "simplex" else rows
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """alpha_i * alpha_j for every (i, j), (k*k, m): the weights of `_moment_sums`."""
+        alpha = self.alpha
+        return (alpha[:, None, :] * alpha[None, :, :]).reshape(self.k * self.k, -1)
 
 
 def reflect_pair(x: np.ndarray, index: int, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -126,16 +142,16 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
 
     Averages the increment (and its outer square) exactly over all n
     reflection indices, or all ordered vertex transpositions, and compares
-    against -lambda W and 2 lambda I + E_ij(x) from the closed forms. The
-    transpositions are enumerated in vertex coordinates; the simplex closed
-    form is the edge-sum identity of the module docstring.
+    against -lambda W and 2 lambda I + E_ij(x), with E_ij from `_moment_sums`,
+    the closed form behind the sweep's pair terms. The transpositions are
+    enumerated in vertex coordinates.
 
     Each residual is the worst over the batch: the largest entry of any
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
     batch is worked through in tiles of `check_tile(spec)` points; for the
     simplex, each tile also runs over blocks of vertices a. Tiles and blocks
-    are sized from `_TILE_BUDGET`, so the memory used beyond x does not grow
-    with the batch.
+    are sized from `_TILE_BUDGET`, so the memory used beyond x and the
+    (k*k, m) `spec.products` does not grow with the batch.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = spec.frame.rows
@@ -149,27 +165,22 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     tile = check_tile(spec)
     simplex = spec.body.kind == "simplex"
     if simplex:
-        v = spec.body.geom.vertices
-        alpha = rows @ v.T
+        alpha = spec.alpha
         m = n + 1
         c2 = n / (2.0 * m)
         ordered = n * (n + 1.0)
-        # Blocks of `block` vertices a keep the (c, block * m) increments and the
-        # (k*k, block * m) products within the tile budget, unless k*k*m alone
-        # exceeds it, as in _edge_sums.
+        # Blocks of `block` vertices a keep the (c, block * m) increments and the (k*k,
+        # block * m) products within the tile budget, unless k*k*m alone exceeds it.
         pairs = max(1, _TILE_BUDGET // m)
     else:
-        # (c, k, n) reflection increments, then the rows scaled by x^2 for the
-        # closed form: one buffer reused by both and by every tile
-        scratch = np.empty((min(len(pts), tile), k, n))
+        scratch = np.empty((min(len(pts), tile), k, n))  # the (c, k, n) increments of every tile
     for lo in range(0, len(pts), tile):
         xt = pts[lo : lo + tile]
         c = len(xt)
         w = project(spec.frame, xt)
         if simplex:
-            gamma = xt @ v.T
-            # u_ab . x = sqrt(c2) dg[a, b] and <theta_i, u_ab> = sqrt(c2) da[i, a, b];
-            # a = b adds 0.
+            gamma = xt @ spec.body.geom.vertices.T
+            # u_ab . x = sqrt(c2) dg[a, b], <theta_i, u_ab> = sqrt(c2) da[i, a, b]; a = b adds 0.
             lin_sum = np.zeros((c, k))
             sec_sum = np.zeros((c, k * k))
             block = max(1, pairs // max(c, k * k))
@@ -181,41 +192,35 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
                 sec_sum += np.square(dg, out=dg) @ products.T
             lin_enum = -2.0 * c2 * lin_sum / ordered
             sec_enum = (4.0 * c2**2 / ordered) * sec_sum.reshape(c, k, k)
-            s = _edge_sums(gamma, alpha, np.einsum("cn,cn->c", xt, xt), w)
-            e_closed = (4.0 / n) * (s.reshape(c, k, k) / m - eye)
+            s = _moment_sums(spec, np.square(gamma, out=gamma), w, np.einsum("cn,cn->c", xt, xt))
         else:
             d = np.multiply(-2.0 * rows, xt[:, None, :], out=scratch[:c])
             lin_enum = d.mean(axis=2)
             sec_enum = (d @ d.transpose(0, 2, 1)) / n
-            scaled = np.multiply(rows, np.square(xt)[:, None, :], out=scratch[:c])
-            e_sums = scaled.reshape(c * k, n) @ rows.T
-            e_closed = (4.0 / n) * (e_sums.reshape(c, k, k) - eye)
+            s = _moment_sums(spec, np.square(xt), w)
+        e_closed = (4.0 / n) * (s.reshape(c, k, k) - eye)
         lin_res = np.maximum(lin_res, np.max(np.abs(lin_enum + lam * w)))
         sec_res = np.maximum(sec_res, np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed))))
-    return ConditionalResiduals(
-        linearity_residual=float(lin_res), second_moment_residual=float(sec_res)
-    )
+    return ConditionalResiduals(float(lin_res), float(sec_res))
 
 
-def _edge_sums(
-    gamma: np.ndarray, alpha: np.ndarray, norm2: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Ordered-transposition sums sum_{a != b} <theta_i, u_ab><theta_j, u_ab> (u_ab . x)^2.
+def _moment_sums(spec: PairSpec, sq: np.ndarray, w: np.ndarray, norm2=None, out=None):
+    """The sums s (c, k*k) of c points, with E_ij(x) = (4/n) (s_ij - delta_ij), into `out`.
 
-    gamma (c, n+1) holds <v_a, x> for c points, alpha (k, n+1) holds
-    <theta_i, v_a>, norm2 (c,) is |x|^2 and w (c, k) is W. Returns (c, k*k),
-    twice the unordered sum of the module docstring's identity.
+    sq (c, m) holds x_l^2 for a product body, where s_ij = sum_l theta_il theta_jl x_l^2.
+    For the simplex it holds gamma_a^2, and s is the module docstring's edge sum over
+    ordered pairs divided by n + 1, which also needs W (c, k) and norm2 = |x|^2 (c,).
     """
-    k, m = alpha.shape
-    n = m - 1
-    c4 = (n / (2.0 * m)) ** 2
-    r = (m / n) ** 2
-    products = (alpha[:, None, :] * alpha[None, :, :]).reshape(k * k, m)
-    return c4 * (
-        2.0 * m * ((gamma**2) @ products.T)
-        + 2.0 * r * norm2[:, None] * np.eye(k).ravel()
-        + 4.0 * r * (w[:, :, None] * w[:, None, :]).reshape(-1, k * k)
-    )
+    s = np.matmul(sq, spec.products.T, out=out)
+    if spec.body.kind == "simplex":
+        k, n, m = spec.k, spec.n, spec.n + 1
+        r = (m / n) ** 2
+        s *= 2.0 * m
+        s[:, :: k + 1] += 2.0 * r * norm2[:, None]
+        s += 4.0 * r * (w[:, :, None] * w[:, None, :]).reshape(-1, k * k)
+        s *= (n / (2.0 * m)) ** 2
+        s /= m
+    return s
 
 
 def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +271,9 @@ def row_pass(
     carries the points alone and W does not depend on whether the pair terms
     are computed. The points are drawn in tiles of about `_TILE_BUDGET`
     elements, a multiple of 4 rows, into one reused buffer; each tile is
-    scaled, projected into W and reduced to its coordinate or edge sums, cube
-    terms and conditional second moments while it is still in cache. Product
+    scaled, projected into W and reduced to its cube terms, then squared in
+    place and reduced to E_ij by `_moment_sums`, the closed form that
+    `conditional_checks` verifies, while it is still in cache. Product
     tiles read the stream exactly as one draw of all `count` points would;
     lp-ball draws take three arrays, so their values depend on the tile size.
     When the body reads one uniform per coordinate (product-uniform and
@@ -275,10 +281,11 @@ def row_pass(
     each drawn on its own thread from a view of `stream` jumped ahead to its
     first row; every value is that of one serial pass. The pass is the only
     reader of `stream` and leaves it at no defined position. Memory is
-    O(tile * width * threads + count * k), width = max(n, k*k).
+    O(tile * width * threads + count * k + k*k * m), width = max(m, k*k),
+    with m = n, or n + 1 for the simplex.
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
-    gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij comes from the edge-sum
+    gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij from the edge-sum
     identity of the module docstring, and the sampled edge (a, b) of the cube
     term has u_ab . x = c (gamma_a - gamma_b) and <theta_i, u_ab> =
     c (alpha_ia - alpha_ib). Neither the points nor the edges are formed, so
@@ -287,22 +294,21 @@ def row_pass(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     pair_terms = indices is not None
-    if pair_terms and count < 10_000:
+    if pair_terms and count < PAIR_TERM_MIN_COUNT:
         raise ValueError(f"need count >= 10^4, got {count}")
     rows = spec.frame.rows
     k, n = rows.shape
     lam = spec.lam
-    eye_flat = np.eye(k).ravel()
+    alpha = spec.alpha  # read, like spec.products, before any worker thread starts
+    if pair_terms:
+        spec.products
+    m = alpha.shape[1]  # n + 1 for the simplex: gamma holds one coordinate per vertex
 
     simplex = spec.body.kind == "simplex"
     if simplex:
-        alpha = rows @ spec.body.geom.vertices.T  # (k, n+1)
         edge_coef = math.sqrt(n / (2.0 * (n + 1.0)))
-        m = n + 1  # gamma holds one coordinate per vertex
     else:
-        coord_products = (rows[:, None, :] * rows[None, :, :]).reshape(k * k, n)
         coord_norm3 = np.sqrt(np.sum(rows**2, axis=0)) ** 3
-        m = n
     width = max(m, k * k)  # the body buffer and the (tile, k*k) pair-term sums
     # Tiles hold a multiple of 4 rows: BLAS matrix-vector kernels take rows in
     # groups of four and round an operand's last 1-3 rows differently, so
@@ -336,25 +342,20 @@ def row_pass(
                 w[part] = project(spec.frame, pts)
             if not pair_terms:
                 continue
-            s, r = sums[:t], np.arange(t)
-            if simplex:  # ordered-pair edge sums
-                norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts)
-                s[...] = _edge_sums(pts, alpha, norm2, w[part])
+            r = np.arange(t)
+            norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts) if simplex else None
+            if simplex:
                 ta, tb = a[part], b[part]
                 edge_x = edge_coef * (pts[r, ta] - pts[r, tb])
                 edge_t = edge_coef * (alpha[:, ta] - alpha[:, tb])  # (k, t)
                 cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
-                if cond_second is not None:
-                    cond_second[part] = (4.0 / (n * (n + 1.0))) * s[:, 0]
-                s /= n + 1.0
             else:
                 ti = idx[part]
                 cubes[part] = 8.0 * np.abs(pts[r, ti]) ** 3 * coord_norm3[ti]
-                np.matmul(np.square(pts, out=pts), coord_products.T, out=s)
-                if cond_second is not None:
-                    cond_second[part] = (4.0 / n) * s[:, 0]
-            e = s  # E_ij = (4/n) (s - delta_ij), formed in place
-            e -= eye_flat
+            e = _moment_sums(spec, np.square(pts, out=pts), w[part], norm2, out=sums[:t])
+            if cond_second is not None:
+                cond_second[part] = (4.0 / n) * e[:, 0]
+            e[:, :: k + 1] -= 1.0  # E_ij = (4/n) (s - delta_ij), formed in place
             e *= 4.0 / n
             frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
 
@@ -383,10 +384,7 @@ def row_pass(
 
     frob_mean, frob_se = batch_mean_se(frob)
     m3_mean, m3_se = batch_mean_se(cubes)
-    if cond_second is not None:
-        condvar, condvar_se = batch_var_se(cond_second)
-    else:
-        condvar = condvar_se = None
+    condvar, condvar_se = (None, None) if cond_second is None else batch_var_se(cond_second)
     return w, PairStatistics(
         term_E=frob_mean / lam,
         term_E_se=frob_se / lam,

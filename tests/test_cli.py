@@ -303,6 +303,8 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
      "seed must lie in [0, 2^64), got 18446744073709551617"),
     (["verify", "pair", "--body", "simplex", "--n", "8", "--k", "2", "--frame", "haar",
       "--seed", "-1"], "seed must lie in [0, 2^64), got -1"),
+    (["distance", "--metric", "w1", "--body", "product-gaussian", "--n", "8", "--k", "2",
+      "--frame", "haar", "--samples", "1", "--seed", "1"], "need at least 100 samples, got 1"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -380,7 +382,7 @@ def test_distance_checks_the_dimension_before_drawing(capsys, monkeypatch):
 def test_experiment_skips_failing_rows(tmp_path, capsys, caplog):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "bodies": ["product-uniform"], "ns": [16, 64], "ks": [1],
+        "bodies": ["product-uniform"], "ns": [16, 64], "ks": [1, 2],
         "frames": ["walsh"], "samples": 50, "seeds": [2], "metrics": ["w1"],
     }))
     out = tmp_path / "rows.csv"
@@ -391,9 +393,9 @@ def test_experiment_skips_failing_rows(tmp_path, capsys, caplog):
     skips = [rec.getMessage() for rec in caplog.records
              if rec.getMessage().startswith("skipping row")]
     assert skips == [
-        f"skipping row body=product-uniform n={n} k=1 frame=walsh seed=2: "
+        f"skipping row body=product-uniform n={n} k={k} frame=walsh seed=2: "
         "need at least 100 samples, got 50"
-        for n in (16, 64)
+        for n in (16, 64) for k in (1, 2)
     ]
 
 

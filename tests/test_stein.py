@@ -28,7 +28,6 @@ from margauss.stein import (
     row_pass,
     theorem_bounds,
     transpose_pair,
-    _edge_sums,
     _edge_vertices,
 )
 
@@ -140,6 +139,33 @@ def test_simplex_checks_enumerate_in_vertex_blocks(monkeypatch):
         res = conditional_checks(x, spec)
         assert res.linearity_residual < RESIDUAL_TOL
         assert res.second_moment_residual < RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("kind", ["product-uniform", "simplex"])
+def test_checks_and_pair_terms_share_one_closed_form(kind, monkeypatch):
+    # Shifting the closed form's sums s by eps moves every E_ij by 4 eps / n:
+    # the check must report that as its residual, and the sweep's term_E must
+    # move with it, so the check covers the code behind bound_*_cor.
+    n, k, eps = 16, 2, 1e-3
+    spec = make_spec(kind, n, k, seed=63)
+    pts = sample_body(spec.body, substream(64, n), 25).points
+
+    def term_e():
+        return estimate_pair_terms(spec, 10_000, substream(65, n), substream(65, 1000)).term_E
+
+    before = term_e()
+    closed_form = stein._moment_sums
+
+    def shifted(*args, **kwargs):
+        s = closed_form(*args, **kwargs)
+        s += eps
+        return s
+
+    monkeypatch.setattr(stein, "_moment_sums", shifted)
+    res = conditional_checks(pts, spec)
+    assert res.linearity_residual < RESIDUAL_TOL
+    assert res.second_moment_residual == pytest.approx(4.0 * eps / n, rel=1e-9)
+    assert abs(term_e() - before) > 1e-6 * before
 
 
 def test_conditional_checks_zero_point():
@@ -373,15 +399,14 @@ def edge_reference(spec, stream, indices, count):
     "n,k", [(n, k) for n in (2, 3, 7, 16, 64) for k in (1, 2, 3) if k <= n]
 )
 def test_vertex_coordinate_edge_sums_match_enumeration(n, k):
-    geom = regular_simplex(n)
-    rows = haar_frame(n, k, substream(51, n + k)).rows
+    spec = PairSpec(body=BodySpec("simplex", n), frame=haar_frame(n, k, substream(51, n + k)))
+    geom, rows, alpha = spec.body.geom, spec.frame.rows, spec.alpha
     i_idx, j_idx, u = geom.unordered_edge_matrix()
     t = rows @ u.T
     x = substream(52, n + k).normal((20, n)) * 3.0
     gamma = x @ geom.vertices.T
-    alpha = rows @ geom.vertices.T
-    enum = 2.0 * np.einsum("cp,ip,jp->cij", (x @ u.T) ** 2, t, t).reshape(20, k * k)
-    closed = _edge_sums(gamma, alpha, np.sum(x**2, axis=1), x @ rows.T)
+    enum = 2.0 * np.einsum("cp,ip,jp->cij", (x @ u.T) ** 2, t, t).reshape(20, k * k) / (n + 1)
+    closed = stein._moment_sums(spec, gamma**2, x @ rows.T, np.sum(x**2, axis=1))
     assert np.max(np.abs(closed - enum)) <= 1e-12 * np.max(np.abs(enum))
 
     index = substream(53, n + k).integers(0, len(i_idx), 200)
