@@ -31,8 +31,7 @@ def _cmd_frames(args) -> int:
     seed = resolve_seed(args.seed)
     frame = frames.build_frame(args.kind, args.n, args.k, row_stream(seed, 0, "frame"))
     fun = frames.frame_functionals(frame)
-    print(_csv([frame.kind, frame.n, frame.k, fun.l4_sum, fun.l3_sum,
-                fun.simplex_quartic, fun.simplex_cubic]))
+    print(_csv([frame.kind, frame.n, frame.k, fun.l4_sum, fun.l3_sum]))
     return 0
 
 
@@ -50,7 +49,7 @@ def _cmd_verify_pair(args) -> int:
     pair = stein.PairSpec(body=spec, frame=frame)
     if args.samples < 1:
         raise ValueError(f"count must be >= 1, got {args.samples}")
-    # Points are drawn into one reused buffer and checked a tile at a time;
+    # Points are drawn into one reused buffer and checked `check_tile` at a time;
     # np.maximum keeps a NaN residual, where Python's max would drop it.
     stream = row_stream(seed, 0, "points")
     buf = np.empty((min(args.samples, stein.check_tile(pair)), args.n))

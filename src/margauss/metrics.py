@@ -223,5 +223,5 @@ def tv_hist_1d(samples: np.ndarray) -> DistanceEstimate:
     gauss_tail = float(norm.cdf(TV_LO) + norm.sf(TV_HI))
     value = float(np.abs(emp - gauss_mass).sum() + emp_tail + gauss_tail)
     bias = math.sqrt(TV_BINS / n)
-    note = f"upward bias O(sqrt(bins/N)) ~ {bias:.1e}, downward discretization bias"
+    note = f"upward bias O(sqrt(bins/N)) ~ {bias:.1e}; downward discretization bias"
     return DistanceEstimate(metric="tv-hist", value=value, se_or_bias_note=note, count=n, k=1)

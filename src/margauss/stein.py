@@ -52,7 +52,7 @@ BOUND_SOURCES = (
     "prop-cm-d2",
 )
 
-# Elements of one row-pass tile or vertex block (1 MiB of float64), sized to stay in L2 cache.
+# Elements of one row-pass or check tile (1 MiB of float64), sized to stay in L2 cache.
 _TILE_BUDGET = 131_072
 # Draws a row needs before its pair terms, and so its semi-empirical bounds, are estimated.
 PAIR_TERM_MIN_COUNT = 10_000
@@ -125,15 +125,15 @@ class ConditionalResiduals:
 
 
 def check_tile(spec: PairSpec) -> int:
-    """Points `conditional_checks` works on at a time, sized from `_TILE_BUDGET`.
+    """Points `verify pair` draws and checks at a time, sized from `_TILE_BUDGET`.
 
     For a product body a tile's (c, k, n) reflection increments fit in the
-    budget. For the simplex a tile's (c, k*k) sums fit, and each of its points
-    has room for at least one block of vertices a, n + 1 transpositions each.
+    budget. For the simplex a tile's (c, n+1) gamma and one vertex's (c, n+1)
+    differences fit together, and so do its (c, k*k) sums.
     """
     k, n = spec.frame.rows.shape
     if spec.body.kind == "simplex":
-        return max(1, min(_TILE_BUDGET // (n + 1), _TILE_BUDGET // (k * k)))
+        return max(1, _TILE_BUDGET // max(2 * (n + 1), k * k))
     return max(1, _TILE_BUDGET // (k * n))
 
 
@@ -144,14 +144,13 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     reflection indices, or all ordered vertex transpositions, and compares
     against -lambda W and 2 lambda I + E_ij(x), with E_ij from `_moment_sums`,
     the closed form behind the sweep's pair terms. The transpositions are
-    enumerated in vertex coordinates.
+    enumerated in vertex coordinates, one vertex a at a time.
 
     Each residual is the worst over the batch: the largest entry of any
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
-    batch is worked through in tiles of `check_tile(spec)` points; for the
-    simplex, each tile also runs over blocks of vertices a. Tiles and blocks
-    are sized from `_TILE_BUDGET`, so the memory used beyond x and the
-    (k*k, m) `spec.products` does not grow with the batch.
+    whole batch is checked in one pass; beyond x and the (k*k, m)
+    `spec.products`, memory is O(c k n) for a product body and
+    O(c (n + k*k)) for the simplex, so callers pass at most `check_tile(spec)`.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = spec.frame.rows
@@ -159,48 +158,35 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"x must be one point ({n},) or a batch (c, {n}), got shape {x.shape}")
+    c = len(pts)
     lam = spec.lam
     eye = np.eye(k)
-    lin_res = sec_res = np.float64(0.0)
-    tile = check_tile(spec)
-    simplex = spec.body.kind == "simplex"
-    if simplex:
+    w = project(spec.frame, pts)
+    if spec.body.kind == "simplex":
         alpha = spec.alpha
-        m = n + 1
-        c2 = n / (2.0 * m)
+        c2 = n / (2.0 * (n + 1))
         ordered = n * (n + 1.0)
-        # Blocks of `block` vertices a keep the (c, block * m) increments and the (k*k,
-        # block * m) products within the tile budget, unless k*k*m alone exceeds it.
-        pairs = max(1, _TILE_BUDGET // m)
+        gamma = pts @ spec.body.geom.vertices.T
+        # Vertex a: u_ab . x = sqrt(c2) dg[:, b], <theta_i, u_ab> = sqrt(c2) da[i, b]; b = a adds 0.
+        lin_sum = np.zeros((c, k))
+        sec_sum = np.zeros((c, k * k))
+        for a in range(n + 1):
+            dg = gamma[:, a, None] - gamma
+            da = alpha[:, a, None] - alpha
+            lin_sum += dg @ da.T
+            products = (da[:, None, :] * da[None, :, :]).reshape(k * k, -1)
+            sec_sum += np.square(dg, out=dg) @ products.T
+        lin_enum = -2.0 * c2 * lin_sum / ordered
+        sec_enum = (4.0 * c2**2 / ordered) * sec_sum.reshape(c, k, k)
+        s = _moment_sums(spec, np.square(gamma, out=gamma), w, np.einsum("cn,cn->c", pts, pts))
     else:
-        scratch = np.empty((min(len(pts), tile), k, n))  # the (c, k, n) increments of every tile
-    for lo in range(0, len(pts), tile):
-        xt = pts[lo : lo + tile]
-        c = len(xt)
-        w = project(spec.frame, xt)
-        if simplex:
-            gamma = xt @ spec.body.geom.vertices.T
-            # u_ab . x = sqrt(c2) dg[a, b], <theta_i, u_ab> = sqrt(c2) da[i, a, b]; a = b adds 0.
-            lin_sum = np.zeros((c, k))
-            sec_sum = np.zeros((c, k * k))
-            block = max(1, pairs // max(c, k * k))
-            for a in range(0, m, block):
-                dg = (gamma[:, a : a + block, None] - gamma[:, None, :]).reshape(c, -1)
-                da = (alpha[:, a : a + block, None] - alpha[:, None, :]).reshape(k, -1)
-                lin_sum += dg @ da.T
-                products = (da[:, None, :] * da[None, :, :]).reshape(k * k, -1)
-                sec_sum += np.square(dg, out=dg) @ products.T
-            lin_enum = -2.0 * c2 * lin_sum / ordered
-            sec_enum = (4.0 * c2**2 / ordered) * sec_sum.reshape(c, k, k)
-            s = _moment_sums(spec, np.square(gamma, out=gamma), w, np.einsum("cn,cn->c", xt, xt))
-        else:
-            d = np.multiply(-2.0 * rows, xt[:, None, :], out=scratch[:c])
-            lin_enum = d.mean(axis=2)
-            sec_enum = (d @ d.transpose(0, 2, 1)) / n
-            s = _moment_sums(spec, np.square(xt), w)
-        e_closed = (4.0 / n) * (s.reshape(c, k, k) - eye)
-        lin_res = np.maximum(lin_res, np.max(np.abs(lin_enum + lam * w)))
-        sec_res = np.maximum(sec_res, np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed))))
+        d = np.multiply(-2.0 * rows, pts[:, None, :])
+        lin_enum = d.mean(axis=2)
+        sec_enum = (d @ d.transpose(0, 2, 1)) / n
+        s = _moment_sums(spec, np.square(pts), w)
+    e_closed = (4.0 / n) * (s.reshape(c, k, k) - eye)
+    lin_res = np.max(np.abs(lin_enum + lam * w), initial=0.0)
+    sec_res = np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed)), initial=0.0)
     return ConditionalResiduals(float(lin_res), float(sec_res))
 
 

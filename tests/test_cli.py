@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import margauss
-from margauss import bodies
+from margauss import bodies, stein
 from margauss.cli import main
 from margauss.core import substream
 from margauss.harness import ExperimentConfig, read_result_csv, run_experiment
@@ -70,19 +70,25 @@ def test_verify_pair_passes(capsys):
 
 
 def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
-    # Python's max(0.0, nan) is 0.0, so a NaN residual must not be reduced with it.
+    # Python's max(0.0, nan) is 0.0, so a NaN residual must not be reduced with it:
+    # 9 points are drawn as 3 tiles of 3 (n = 8, k = 2), and only the middle one has NaN.
+    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 2 * 8)
     draw = bodies.sample_body
+    tiles = []
 
-    def nan_in_the_middle(*args, **kwargs):
+    def nan_in_the_middle_tile(*args, **kwargs):
         batch = draw(*args, **kwargs)
-        batch.points[len(batch.points) // 2] = np.nan
+        tiles.append(len(batch.points))
+        if len(tiles) == 2:
+            batch.points[1] = np.nan
         return batch
 
-    monkeypatch.setattr(bodies, "sample_body", nan_in_the_middle)
+    monkeypatch.setattr(bodies, "sample_body", nan_in_the_middle_tile)
     code, out = run_cli(
         capsys, "verify", "pair", "--body", "product-uniform", "--n", "8", "--k", "2",
         "--frame", "haar", "--samples", "9", "--seed", "3",
     )
+    assert tiles == [3, 3, 3]
     assert code == 1
     assert "linearity_residual=nan" in out and "second_moment_residual=nan" in out
     assert "FAIL" in out
@@ -133,6 +139,25 @@ def test_distance_row(capsys):
     assert cells[0] == "ks"
     assert float(cells[1]) < 0.05
     assert cells[3] == "5000" and cells[4] == "1"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MARGINAL = ["--body", "simplex", "--n", "8", "--k", "1", "--frame", "haar"]
+DISTANCE_HEADER = "metric,value,se_or_bias_note,N,k"
+
+
+@pytest.mark.parametrize("header,argv", [
+    ("kind,n,k,l4_sum,l3_sum", ["frames", "--kind", "haar", "--n", "8", "--k", "1"]),
+    ("source,d1_bound,dtv_bound,d2_bound,C_tv_multi,C_tv_simplex1d", ["bounds", *MARGINAL]),
+    *[(DISTANCE_HEADER, ["distance", "--metric", metric, *MARGINAL, "--samples", "1000",
+                         "--seed", "1"]) for metric in ("w1", "ks", "tv")],
+], ids=["frames", "bounds", "distance-w1", "distance-ks", "distance-tv"])
+def test_printed_rows_match_their_documented_headers(capsys, header, argv):
+    assert f"`{header}`" in README.read_text()
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines and all(line.count(",") == header.count(",") for line in lines)
 
 
 def test_experiment_round_trip(tmp_path, capsys):

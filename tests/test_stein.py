@@ -121,20 +121,10 @@ def test_pair_spec_validation():
 
 
 @pytest.mark.parametrize("kind", ["product-uniform", "simplex"])
-@pytest.mark.parametrize("n,k", [(16, 3), (8, 2)])
+@pytest.mark.parametrize("n,k", [(16, 3), (8, 2), (8, 6)])  # (8, 6): k*k > 2 (n + 1)
 def test_conditional_checks_exact(kind, n, k):
     spec = make_spec(kind, n, k, seed=n * 7 + k)
     pts = sample_body(spec.body, substream(43, n + k), 25).points
-    for x in pts:
-        res = conditional_checks(x, spec)
-        assert res.linearity_residual < RESIDUAL_TOL
-        assert res.second_moment_residual < RESIDUAL_TOL
-
-
-def test_simplex_checks_enumerate_in_vertex_blocks(monkeypatch):
-    spec = make_spec("simplex", 16, 3, seed=9)
-    pts = sample_body(spec.body, substream(44, 16), 5).points
-    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 17 * 4)  # 4 vertices a block: 5 blocks
     for x in pts:
         res = conditional_checks(x, spec)
         assert res.linearity_residual < RESIDUAL_TOL
@@ -178,11 +168,7 @@ def test_conditional_checks_zero_point():
 BATCH_BODIES = ["product-uniform", "lp-ball(1.5)", "simplex"]
 
 
-def batch_spec_and_points(label, k, monkeypatch, n=16, count=25):
-    # 8 * 17 elements: simplex tiles of 8, 8, 8 and 1 points, with 1 vertex a
-    # block in the full tiles (17 blocks); product tiles of 4 (k = 2) or 2
-    # (k = 3) points and a last tile of 1.
-    monkeypatch.setattr(stein, "_TILE_BUDGET", 8 * 17)
+def batch_spec_and_points(label, k, n=16, count=25):
     body = parse_body_kind(label, n)
     spec = PairSpec(body=body, frame=haar_frame(n, k, substream(45, 7)))
     pts = sample_body(body, substream(46, n), count).points
@@ -192,13 +178,13 @@ def batch_spec_and_points(label, k, monkeypatch, n=16, count=25):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("label", BATCH_BODIES)
 def test_batched_checks_report_the_worst_point(label, k, monkeypatch):
-    spec, pts = batch_spec_and_points(label, k, monkeypatch)
+    spec, pts = batch_spec_and_points(label, k)
     res = conditional_checks(pts, spec)
     assert res.linearity_residual < RESIDUAL_TOL
     assert res.second_moment_residual < RESIDUAL_TOL
 
     # A wrong lambda leaves |delta lambda| |W_ci| at each point and index; the
-    # batch must report the largest, here on the last point, in the last tile.
+    # batch must report the largest, here on the last point.
     worst = int(np.argmax(np.max(np.abs(project(spec.frame, pts)), axis=1)))
     pts[[worst, -1]] = pts[[-1, worst]]
     w_max = float(np.max(np.abs(project(spec.frame, pts[-1]))))
@@ -210,14 +196,14 @@ def test_batched_checks_report_the_worst_point(label, k, monkeypatch):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("label", BATCH_BODIES)
-def test_batched_checks_edge_cases(label, k, monkeypatch):
-    spec, pts = batch_spec_and_points(label, k, monkeypatch)
+def test_batched_checks_edge_cases(label, k):
+    spec, pts = batch_spec_and_points(label, k)
     empty = conditional_checks(pts[:0], spec)
     assert empty.linearity_residual == 0.0 and empty.second_moment_residual == 0.0
     assert conditional_checks(pts[3], spec) == conditional_checks(pts[3:4], spec)
     with pytest.raises(ValueError, match="one point"):
         conditional_checks(pts.ravel()[:32], spec)  # two points' worth, flattened
-    pts[12] = np.nan  # a point in a middle tile
+    pts[12] = np.nan  # a point in the middle of the batch
     res = conditional_checks(pts, spec)
     assert math.isnan(res.linearity_residual) and math.isnan(res.second_moment_residual)
 
