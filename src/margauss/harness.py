@@ -14,11 +14,14 @@ import itertools
 import json
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import stein
 from .bodies import parse_body_kind
 from .core import ConstantsConfig, RandomStream, check_seed, substream
 from .frames import build_frame, frame_functionals
@@ -156,30 +159,56 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     default) the output is a pure function of the config, so repeated runs
     emit byte-identical CSV files; wall-clock timing is opt-in because it
     would break that determinism.
+
+    Rows run concurrently, min(cores, rows) at a time (`stein._cores`, which
+    also sets the tile threads of a product row pass; with one core they run
+    serially, with no pool), so peak memory is that of that many rows in
+    flight. A row reads only its own streams, so every value is that of a
+    serial run, and its warnings are logged here in row order, as a serial
+    run logs them. A ValueError skips its own row; any other exception
+    reaches the caller. runtime_ms is each row's own elapsed time, which
+    overlaps that of the rows beside it.
     """
     combos = sorted(
         itertools.product(config.bodies, config.ns, config.ks, config.frames, config.seeds)
     )
-    rows = []
-    for idx, (body_kind, n, k, frame_kind, seed) in enumerate(combos):
-        started = time.perf_counter() if measure_runtime else None
-        try:
-            row = _compute_row(config, idx, body_kind, n, k, frame_kind, seed)
-        except ValueError as exc:
-            logger.warning(
-                "skipping row body=%s n=%d k=%d frame=%s seed=%d: %s",
-                body_kind, n, k, frame_kind, seed, exc,
-            )
-            continue
-        if started is not None:
-            row = replace(row, runtime_ms=1000.0 * (time.perf_counter() - started))
-        rows.append(row)
-    return rows
+    task = partial(_row_task, config, measure_runtime)
+    workers = min(stein._cores(), len(combos))
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        rows = []
+        for row, notes in (pool.map if pool else map)(task, range(len(combos)), combos):
+            for note in notes:
+                logger.warning(*note)
+            if row is not None:
+                rows.append(row)
+        return rows
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
+def _row_task(
+    config: ExperimentConfig, measure_runtime: bool, idx: int, combo: tuple
+) -> tuple[Optional[ResultRow], list[tuple]]:
+    """Row idx, or None if it is skipped, and its warnings as logger.warning arguments."""
+    notes = []
+    started = time.perf_counter()
+    try:
+        row = _compute_row(config, idx, *combo, notes)
+    except ValueError as exc:
+        notes.append(("skipping row body=%s n=%d k=%d frame=%s seed=%d: %s", *combo, exc))
+        return None, notes
+    if measure_runtime:
+        row = replace(row, runtime_ms=1000.0 * (time.perf_counter() - started))
+    return row, notes
 
 
 def _compute_row(
-    config: ExperimentConfig, idx: int, body_kind: str, n: int, k: int, frame_kind: str, seed: int
+    config: ExperimentConfig, idx: int, body_kind: str, n: int, k: int, frame_kind: str, seed: int,
+    notes: list,
 ) -> ResultRow:
+    """Row idx of the sweep; each warning it has is appended to `notes`, not logged."""
     body = parse_body_kind(body_kind, n)
     frame = build_frame(frame_kind, n, k, row_stream(seed, idx, "frame"))
     fun = frame_functionals(frame, body.geom)
@@ -188,10 +217,10 @@ def _compute_row(
 
     indices = row_stream(seed, idx, "indices") if n_samples >= PAIR_TERM_MIN_COUNT else None
     if indices is None:
-        logger.warning(
+        notes.append((
             "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
             body_kind, n, k, n_samples,
-        )
+        ))
     stats = bound_d1_cor = bound_dtv_cor = None
     if indices is not None or config.metrics:
         spec = PairSpec(body=body, frame=frame)
@@ -205,7 +234,7 @@ def _compute_row(
         try:
             check_dimension(metric, k)
         except ValueError as exc:
-            logger.warning("skipping %s for k=%d: %s", metric, k, exc)
+            notes.append(("skipping %s for k=%d: %s", metric, k, exc))
             continue
         emp[metric] = estimate_distance(metric, w, row_stream(seed, idx, "directions"))
     w1 = emp.get("w1")

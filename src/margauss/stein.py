@@ -218,7 +218,7 @@ def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cores() -> int:
-    """CPUs this process may run on: the most threads a row pass starts."""
+    """CPUs this process may run on: the most sweep rows, and row-pass threads, run at once."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

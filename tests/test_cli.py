@@ -605,6 +605,33 @@ def test_cli_runs_on_scipy_special_alone(tmp_path):
     assert len(read_result_csv(out)) == 4
 
 
+def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
+    # Rows run on one thread per CPU: product-gaussian, lp-ball and simplex
+    # rows each whole on one thread, product-uniform rows with their tiles
+    # split again. At one and at two BLAS threads, a run patched to one core
+    # (no row pool, no tile split) must write the bytes of a run at the default.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-uniform", "product-gaussian", "lp-ball(1.5)", "simplex"],
+        "ns": [16, 256], "ks": [1, 2], "frames": ["haar"], "samples": 10_000, "seeds": [4, 5],
+        "metrics": ["w1", "ks", "tv"],
+    }))
+    for blas_threads in (1, 2):
+        outs = [tmp_path / f"rows{blas_threads}-{cores}.csv" for cores in ("default", "one")]
+        result = run_under_address_limit(
+            "import margauss.stein\n"
+            f"for out in {[str(out) for out in outs]!r}:\n"
+            "    if out.endswith('-one.csv'):\n"
+            "        margauss.stein._cores = lambda: 1\n"
+            f"    assert main(['experiment', '--config', {str(config)!r}, '--out', out]) == 0\n",
+            4.0,
+            blas_threads=blas_threads,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert len(read_result_csv(outs[0])) == 32
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
 def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
     # Product-uniform and product-laplace rows run their tiles on one thread
     # per CPU, and OpenBLAS (itself at two threads here) is then called from

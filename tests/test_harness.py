@@ -1,5 +1,7 @@
 import json
 import logging
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +108,76 @@ def test_invalid_combos_skipped_with_log(caplog):
     assert len(rows) == 1
     assert any("walsh frame needs k <= m where m = 64" in rec.getMessage()
                for rec in caplog.records)
+
+
+def test_row_workers_log_in_row_order(monkeypatch, caplog):
+    # Valid rows, rows whose Walsh frame cannot be built (k = 80 > 64), rows
+    # without pair terms (samples < 10^4), and ks and tv skipped at k = 2.
+    config = small_config(ns=(16, 100), ks=(1, 2, 80), samples=5_000,
+                          metrics=("w1", "ks", "tv"))
+    compute_row = harness._compute_row
+    threads = set()
+
+    def first_row_last(config, idx, *args):
+        threads.add(threading.current_thread() is threading.main_thread())
+        if idx == 0:
+            time.sleep(0.2)  # the other worker finishes the later rows first
+        return compute_row(config, idx, *args)
+
+    monkeypatch.setattr(harness, "_compute_row", first_row_last)
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        threads.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            rows = run_experiment(config)
+        records = [(rec.name, rec.levelno, rec.getMessage()) for rec in caplog.records]
+        runs.append((rows, records, threads.copy()))
+    (rows, records, on_main), (rows2, records2, on_main2) = runs
+    assert on_main == {True} and on_main2 == {False}
+    assert rows2 == rows and len(rows) == 4
+    assert records2 == records
+    messages = [message for _, _, message in records]
+    assert len(messages) == 10
+    assert messages[:4] == [
+        "skipping semi-empirical bounds for body=product-uniform n=16 k=1: samples=5000 < 10^4",
+        "skipping semi-empirical bounds for body=product-uniform n=16 k=2: samples=5000 < 10^4",
+        "skipping ks for k=2: ks is a one-dimensional estimator; use k=1",
+        "skipping tv for k=2: tv is a one-dimensional estimator; use k=1",
+    ]
+    assert messages[4].startswith("skipping row body=product-uniform n=16 k=80 frame=walsh")
+
+
+def fail_row_1_off_main_thread(monkeypatch, error):
+    """Run rows on two workers and make row 1 raise `error` on its worker thread."""
+    compute_row = harness._compute_row
+
+    def compute(config, idx, *args):
+        if idx == 1 and threading.current_thread() is not threading.main_thread():
+            raise error
+        return compute_row(config, idx, *args)
+
+    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    monkeypatch.setattr(harness, "_compute_row", compute)
+
+
+def test_row_worker_error_reaches_the_caller(monkeypatch):
+    fail_row_1_off_main_thread(monkeypatch, RuntimeError("row failed"))
+    with pytest.raises(RuntimeError, match="row failed"):
+        run_experiment(small_config(metrics=()))
+
+
+def test_row_worker_value_error_skips_its_row_alone(monkeypatch, caplog):
+    config = small_config(metrics=())
+    expected = run_experiment(config)
+    fail_row_1_off_main_thread(monkeypatch, ValueError("bad row"))
+    with caplog.at_level(logging.WARNING):
+        rows = run_experiment(config)
+    assert rows == [expected[0], expected[2]]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "skipping row body=product-uniform n=64 k=1 frame=walsh seed=1: bad row"
+    ]
 
 
 def test_ks_and_tv_only_for_k1(caplog):
