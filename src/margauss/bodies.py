@@ -193,9 +193,8 @@ def sample_body(
         raise ValueError(f"out must have shape ({count}, {n}), got {out.shape}")
     if spec.kind == "product-uniform":
         pts = stream.uniform((count, n), out=out)
-        pts *= 2.0
-        pts -= 1.0
-        pts *= math.sqrt(3.0)
+        pts -= 0.5  # exact on [0, 1), as is 2 fl(sqrt 3): one rounding, as in (2u - 1) sqrt 3
+        pts *= 2.0 * math.sqrt(3.0)
     elif spec.kind == "product-gaussian":
         pts = stream.normal((count, n), out=out)
     elif spec.kind == "product-laplace":

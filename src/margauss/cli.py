@@ -47,22 +47,10 @@ def _cmd_verify_pair(args) -> int:
     seed = resolve_seed(args.seed)
     frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
     pair = stein.PairSpec(body=spec, frame=frame)
-    if args.samples < 1:
-        raise ValueError(f"count must be >= 1, got {args.samples}")
-    # Points are drawn into one reused buffer and checked `check_tile` at a time;
-    # np.maximum keeps a NaN residual, where Python's max would drop it.
-    stream = row_stream(seed, 0, "points")
-    buf = np.empty((min(args.samples, stein.check_tile(pair)), args.n))
-    worst_lin = worst_sec = 0.0
-    for start in range(0, args.samples, len(buf)):
-        count = min(len(buf), args.samples - start)
-        pts = bodies.sample_body(spec, stream, count, out=buf[:count]).points
-        res = stein.conditional_checks(pts, pair)
-        worst_lin = np.maximum(worst_lin, res.linearity_residual)
-        worst_sec = np.maximum(worst_sec, res.second_moment_residual)
-    ok = worst_lin < PAIR_TOLERANCE and worst_sec < PAIR_TOLERANCE
-    print(f"linearity_residual={worst_lin:.3e}")
-    print(f"second_moment_residual={worst_sec:.3e}")
+    lin, sec = astuple(stein.check_pairs(pair, args.samples, row_stream(seed, 0, "points")))
+    ok = lin < PAIR_TOLERANCE and sec < PAIR_TOLERANCE
+    print(f"linearity_residual={lin:.3e}")
+    print(f"second_moment_residual={sec:.3e}")
     print(f"{'PASS' if ok else 'FAIL'} (tolerance {PAIR_TOLERANCE:g}, {args.samples} samples)")
     return 0 if ok else 1
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -124,19 +125,6 @@ class ConditionalResiduals:
     second_moment_residual: float
 
 
-def check_tile(spec: PairSpec) -> int:
-    """Points `verify pair` draws and checks at a time, sized from `_TILE_BUDGET`.
-
-    For a product body a tile's (c, k, n) reflection increments fit in the
-    budget. For the simplex a tile's (c, n+1) gamma and one vertex's (c, n+1)
-    differences fit together, and so do its (c, k*k) sums.
-    """
-    k, n = spec.frame.rows.shape
-    if spec.body.kind == "simplex":
-        return max(1, _TILE_BUDGET // max(2 * (n + 1), k * k))
-    return max(1, _TILE_BUDGET // (k * n))
-
-
 def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     """Verify the conditional identities at one point (n,) or a batch (c, n).
 
@@ -150,7 +138,7 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
     whole batch is checked in one pass; beyond x and the (k*k, m)
     `spec.products`, memory is O(c k n) for a product body and
-    O(c (n + k*k)) for the simplex, so callers pass at most `check_tile(spec)`.
+    O(c (n + k*k)) for the simplex, so `check_pairs` passes one tile at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = spec.frame.rows
@@ -190,6 +178,35 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     return ConditionalResiduals(float(lin_res), float(sec_res))
 
 
+def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> ConditionalResiduals:
+    """`conditional_checks` on `count` points of `stream`, drawn a tile at a time.
+
+    A product tile's (c, k, n) reflection increments fit in `_TILE_BUDGET`; a simplex
+    tile's (c, n+1) gamma and one vertex's (c, n+1) differences fit together, and so do
+    its (c, k*k) sums. Product-uniform and product-laplace tiles run on every CPU
+    (`_split`); each point is the one a serial draw gives. A residual is the worst over
+    all points, NaN if any point gives NaN.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    k, n = spec.k, spec.n
+    width = max(2 * (n + 1), k * k) if spec.body.kind == "simplex" else k * n
+    tile = min(count, max(1, _TILE_BUDGET // width))
+    spec.products  # built, like spec.alpha, before any worker thread starts
+
+    def tiles(lo: int, hi: int, stream: RandomStream) -> list:
+        buf = np.empty((tile, n))  # one reused buffer per thread
+        residuals = []
+        for start in range(lo, hi, tile):
+            pts = buf[: hi - start]  # the last tile may be short
+            sample_body(spec.body, stream, len(pts), out=pts)
+            residuals.append(astuple(conditional_checks(pts, spec)))
+        return residuals
+
+    worst = np.max(np.concatenate(_split(spec, count, tile, stream, tiles)), axis=0)
+    return ConditionalResiduals(float(worst[0]), float(worst[1]))
+
+
 def _moment_sums(spec: PairSpec, sq: np.ndarray, w: np.ndarray, norm2=None, out=None):
     """The sums s (c, k*k) of c points, with E_ij(x) = (4/n) (s_ij - delta_ij), into `out`.
 
@@ -218,10 +235,26 @@ def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cores() -> int:
-    """CPUs this process may run on: the most sweep rows, and row-pass threads, run at once."""
+    """CPUs this process may run on: the most sweep rows, and tile threads, run at once."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _split(spec: PairSpec, count: int, tile: int, stream: RandomStream, run) -> list:
+    """`run(lo, hi, stream)` on ranges of whole tiles of rows 0..count, in range order.
+
+    A body reading one uniform per coordinate gets one range per CPU, drawn from a view
+    of `stream` jumped to its first element, so every tile is the one a serial pass draws.
+    The first range, or the only one, runs on the calling thread.
+    """
+    n_tiles = -(-count // tile)
+    workers = min(_cores(), n_tiles) if spec.body.one_uniform_per_coordinate else 1
+    bounds = [tile * (n_tiles * i // workers) for i in range(workers)] + [count]
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts a thread per submit only
+        futures = [pool.submit(run, lo, hi, stream.ahead(lo * spec.n))
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        return [run(0, bounds[1], stream)] + [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -262,11 +295,9 @@ def row_pass(
     `conditional_checks` verifies, while it is still in cache. Product
     tiles read the stream exactly as one draw of all `count` points would;
     lp-ball draws take three arrays, so their values depend on the tile size.
-    When the body reads one uniform per coordinate (product-uniform and
-    product-laplace), the tiles are split into one contiguous range per CPU,
-    each drawn on its own thread from a view of `stream` jumped ahead to its
-    first row; every value is that of one serial pass. The pass is the only
-    reader of `stream` and leaves it at no defined position. Memory is
+    Product-uniform and product-laplace tiles run on every CPU (`_split`), and
+    every value is that of one serial pass. The pass is the only reader of
+    `stream` and leaves it at no defined position. Memory is
     O(tile * width * threads + count * k + k*k * m), width = max(m, k*k),
     with m = n, or n + 1 for the simplex.
 
@@ -345,26 +376,7 @@ def row_pass(
             e *= 4.0 / n
             frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
 
-    # Rows split into one contiguous range of whole tiles per worker, so each
-    # tile, and every product in it, is the one a serial pass computes. A
-    # worker draws its rows from a view of `stream` jumped to their first
-    # element, which only a body reading one uniform per coordinate allows.
-    n_tiles = -(-count // tile)
-    workers = min(_cores(), n_tiles) if spec.body.one_uniform_per_coordinate else 1
-    bounds = [tile * (n_tiles * i // workers) for i in range(workers)] + [count]
-    if workers == 1:
-        tiles(0, count, stream)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [
-                pool.submit(tiles, lo, hi, stream.ahead(lo * n))
-                for lo, hi in zip(bounds[1:-1], bounds[2:])
-            ]
-            tiles(0, bounds[1], stream)
-            for future in futures:
-                future.result()
+    _split(spec, count, tile, stream, tiles)
     if not pair_terms:
         return w, None
 

@@ -312,3 +312,16 @@ def test_laplace_draw_matches_masked_inverse_cdf_bit_for_bit():
     # Equal bit patterns: the same values and the same sign of zero (-0.0 at u = 0).
     assert np.array_equal(pts.view(np.uint64), _masked_laplace(u).view(np.uint64))
     assert np.signbit(pts[-4]) and not np.signbit(pts[-3])
+
+
+def test_uniform_draw_matches_three_step_form_bit_for_bit():
+    # (u - 1/2) * (2 sqrt 3) rounds once, as (2u - 1) sqrt 3 does: u - 1/2 and 2u - 1
+    # are exact for every double in [0, 1), and so is 2 fl(sqrt 3).
+    edges = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+    u = np.concatenate([substream(39, 0).uniform(1_000_000), edges])
+    reference = (2.0 * u - 1.0) * math.sqrt(3.0)
+    pts = sample_body(BodySpec("product-uniform", 1), _FixedUniforms(u), len(u)).points[:, 0]
+    assert np.array_equal(pts.view(np.uint64), reference.view(np.uint64))
+    drawn = sample_body(BodySpec("product-uniform", 8), substream(39, 1), 1_000).points
+    reference = (2.0 * substream(39, 1).uniform((1_000, 8)) - 1.0) * math.sqrt(3.0)
+    assert np.array_equal(drawn.view(np.uint64), reference.view(np.uint64))

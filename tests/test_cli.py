@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import margauss
 from margauss import bodies, stein
 from margauss.cli import main
 from margauss.core import substream
-from margauss.harness import ExperimentConfig, read_result_csv, run_experiment
+from margauss.harness import ExperimentConfig, read_result_csv, row_stream, run_experiment
 
 
 def run_cli(capsys, *argv):
@@ -73,7 +74,8 @@ def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
     # Python's max(0.0, nan) is 0.0, so a NaN residual must not be reduced with it:
     # 9 points are drawn as 3 tiles of 3 (n = 8, k = 2), and only the middle one has NaN.
     monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 2 * 8)
-    draw = bodies.sample_body
+    monkeypatch.setattr(stein, "_cores", lambda: 1)  # draw the tiles in order
+    draw = stein.sample_body
     tiles = []
 
     def nan_in_the_middle_tile(*args, **kwargs):
@@ -83,7 +85,7 @@ def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
             batch.points[1] = np.nan
         return batch
 
-    monkeypatch.setattr(bodies, "sample_body", nan_in_the_middle_tile)
+    monkeypatch.setattr(stein, "sample_body", nan_in_the_middle_tile)
     code, out = run_cli(
         capsys, "verify", "pair", "--body", "product-uniform", "--n", "8", "--k", "2",
         "--frame", "haar", "--samples", "9", "--seed", "3",
@@ -92,6 +94,83 @@ def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
     assert code == 1
     assert "linearity_residual=nan" in out and "second_moment_residual=nan" in out
     assert "FAIL" in out
+
+
+def test_verify_pair_fails_on_a_nan_in_a_worker_tile(capsys, monkeypatch):
+    # 9 points in tiles of 3 on two cores: the calling thread checks the first
+    # tile and a worker the other two, one of which has a NaN.
+    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 2 * 8)
+    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    draw = stein.sample_body
+    poisoned = []
+
+    def nan_off_the_main_thread(*args, **kwargs):
+        batch = draw(*args, **kwargs)
+        if threading.current_thread() is not threading.main_thread() and not poisoned:
+            batch.points[2] = np.nan
+            poisoned.append(True)
+        return batch
+
+    monkeypatch.setattr(stein, "sample_body", nan_off_the_main_thread)
+    code, out = run_cli(
+        capsys, "verify", "pair", "--body", "product-uniform", "--n", "8", "--k", "2",
+        "--frame", "haar", "--samples", "9", "--seed", "3",
+    )
+    assert poisoned == [True]
+    assert code == 1
+    assert "linearity_residual=nan" in out and "second_moment_residual=nan" in out
+    assert "FAIL" in out
+
+
+@pytest.mark.parametrize("body", ["product-uniform", "product-laplace", "simplex"])
+def test_verify_pair_output_does_not_depend_on_core_count(body, capsys, monkeypatch):
+    # Tiles of 3 product points (2 simplex points) at n = 8, k = 2: 10 points are
+    # 4 tiles, the last short, so three cores split them as 3 + 3 + 4 points.
+    # A product worker must check the very points a serial draw gives there.
+    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 2 * 8)
+    check = stein.conditional_checks
+    checked = []
+
+    def record(pts, spec):
+        checked.append((threading.current_thread(), pts.copy()))
+        return check(pts, spec)
+
+    monkeypatch.setattr(stein, "conditional_checks", record)
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        checked.clear()
+        code, out = run_cli(
+            capsys, "verify", "pair", "--body", body, "--n", "8", "--k", "2",
+            "--frame", "haar", "--samples", "10", "--seed", "6",
+        )
+        assert code == 0 and "PASS" in out
+        off_main = any(thread is not threading.main_thread() for thread, _ in checked)
+        assert off_main == (body != "simplex" and cores > 1)
+        runs.append((out, sorted(pts.tobytes() for _, pts in checked)))
+        if cores == 1:
+            points = np.concatenate([pts for _, pts in checked])
+    for out, tiles in runs[1:]:
+        assert out == runs[0][0]
+        assert tiles == runs[0][1]
+    if body != "simplex":  # product draws in pieces equal one draw
+        spec = bodies.parse_body_kind(body, 8)
+        assert np.array_equal(points, bodies.sample_body(spec, row_stream(6, 0, "points"), 10).points)
+
+
+def test_verify_pair_worker_error_reaches_the_caller(monkeypatch):
+    check = stein.conditional_checks
+
+    def fail_off_main_thread(pts, spec):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return check(pts, spec)
+
+    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    monkeypatch.setattr(stein, "conditional_checks", fail_off_main_thread)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        main(["verify", "pair", "--body", "product-uniform", "--n", "1024", "--k", "1",
+              "--frame", "walsh", "--samples", "1000", "--seed", "1"])
 
 
 def test_bounds_rows_simplex_k1(capsys, tmp_path):
