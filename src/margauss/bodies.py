@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import BATCHES, RandomStream, batch_mean_se, batch_var_se
 
@@ -153,6 +152,8 @@ def lp_ball_coordinate_variance(n: int, p: float) -> float:
     Gamma-ratio closed form from the independent-normalization representation;
     reduces to 2/((n+1)(n+2)) at p=1 and 1/(n+2) at p=2.
     """
+    from scipy.special import gammaln  # imported here: scipy.special is slow to load
+
     return math.exp(
         gammaln(3.0 / p) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0) + gammaln(n / p + 1.0)
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not lazily on the first draw
 
 ENV_SEED = "MG_SEED"
 BATCHES = 20  # the equal-size batches of every batched standard error

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from margauss.bodies import (
     BodySpec,
@@ -133,6 +134,16 @@ def test_simplex_samples_stay_in_body():
 def test_lp_ball_variance_formulas():
     assert lp_ball_coordinate_variance(20, 1.0) == pytest.approx(2.0 / (21 * 22), rel=1e-12)
     assert lp_ball_coordinate_variance(20, 2.0) == pytest.approx(1.0 / 22, rel=1e-12)
+
+
+def test_lp_ball_variance_is_the_gammaln_expression():
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for n in (2, 16, 256, 1024):
+            expected = math.exp(
+                gammaln(3.0 / p) - gammaln(1.0 / p) - gammaln((n + 2.0) / p + 1.0)
+                + gammaln(n / p + 1.0)
+            )
+            assert lp_ball_coordinate_variance(n, p) == expected
 
 
 def test_lp_ball_unit_coordinate_variance():

@@ -657,17 +657,26 @@ def test_product_wide_frame_pair_terms_within_address_space_limit(tmp_path):
     assert len(rows) == 1 and rows[0].bound_d1_cor is not None
 
 
-def test_cli_runs_on_scipy_special_alone(tmp_path):
-    # Start-up cost: margauss imports scipy.special and no other scipy module;
-    # scipy.stats, scipy.integrate, scipy.optimize and scipy.signal are loaded
-    # only inside the functions that use them, which these commands never call.
+def test_cli_runs_on_numpy_alone(tmp_path):
+    # Start-up cost: importing margauss loads no scipy module, and neither do
+    # these commands. scipy.special is loaded only by an lp-ball row (for
+    # gammaln); scipy.stats, scipy.integrate, scipy.optimize and scipy.signal
+    # only inside the functions that use them, which no command here calls.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform", "simplex"], "ns": [16], "ks": [1, 2],
         "frames": ["haar"], "samples": 10_000, "seeds": [1], "metrics": ["w1", "ks", "tv"],
     }))
-    out = tmp_path / "rows.csv"
+    lp_config = tmp_path / "lp.json"
+    lp_config.write_text(json.dumps({
+        "bodies": ["lp-ball(1.5)"], "ns": [16], "ks": [1], "frames": ["haar"],
+        "samples": 10_000, "seeds": [1], "metrics": ["w1"],
+    }))
+    out, lp_out = tmp_path / "rows.csv", tmp_path / "lp.csv"
     result = run_under_address_limit(
+        "def scipy_loaded(stage):\n"
+        "    print(stage, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:5])\n"
+        "scipy_loaded('import:')\n"
         f"assert main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
         "assert main(['verify', 'pair', '--body', 'simplex', '--n', '16', '--k', '2',\n"
         "             '--frame', 'haar', '--samples', '5', '--seed', '1']) == 0\n"
@@ -675,13 +684,19 @@ def test_cli_runs_on_scipy_special_alone(tmp_path):
         "    assert main(['distance', '--metric', metric, '--body', 'product-uniform',\n"
         "                 '--n', '16', '--k', k, '--frame', 'haar', '--samples', '2000',\n"
         "                 '--seed', '1']) == 0\n"
-        "slow = ('scipy.stats', 'scipy.integrate', 'scipy.optimize', 'scipy.signal')\n"
-        "print('loaded:', sorted(name for name in slow if name in sys.modules))\n",
+        "scipy_loaded('commands:')\n"
+        f"assert main(['experiment', '--config', {str(lp_config)!r},\n"
+        f"             '--out', {str(lp_out)!r}]) == 0\n"
+        "named = ('scipy.special', 'scipy.stats', 'scipy.integrate', 'scipy.optimize',\n"
+        "         'scipy.signal')\n"
+        "print('lp-ball:', [name for name in named if name in sys.modules])\n",
         2.5,
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.splitlines()[-1] == "loaded: []"
-    assert len(read_result_csv(out)) == 4
+    assert result.stdout.splitlines()[0] == "import: []"
+    assert "commands: []" in result.stdout.splitlines()
+    assert result.stdout.splitlines()[-1] == "lp-ball: ['scipy.special']"
+    assert len(read_result_csv(out)) == 4 and len(read_result_csv(lp_out)) == 1
 
 
 def test_row_workers_write_the_bytes_of_one_worker(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from margauss import metrics
@@ -171,21 +172,65 @@ def test_w1_consistency_rate():
     assert 1.6 <= ratio <= 2.6
 
 
+def _same(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
+
+
 def test_norm_matches_scipy_stats_bit_for_bit():
-    # metrics.norm evaluates Phi and Phi^{-1} through scipy.special alone;
-    # scipy.stats.norm is the independent reference.
-    for n in (100, 7_500, 150_000):
-        grid = (np.arange(1, n + 1) - 0.5) / n
-        assert np.array_equal(metrics.norm.ppf(grid), norm.ppf(grid))
-    draws = substream(74, 0).normal(1_000_000)
+    # metrics.norm is a numpy port of Cephes ndtri and ndtr; scipy.stats.norm
+    # and scipy.special, which wrap the compiled Cephes code, are the references.
+    sizes = [*range(100, 4000), 6_000, 7_500, 10_000, 30_000, 100_000, 120_000, 150_000]
+    grids = [(np.arange(1, n + 1) - 0.5) / n for n in sizes]
+    for lo in range(0, len(grids), 200):  # 200 grids per call: the values are elementwise
+        q = np.concatenate(grids[lo : lo + 200])
+        assert _same(metrics.norm.ppf(q), ndtri(q)) and _same(metrics.norm.ppf(q), norm.ppf(q))
+    q = (np.arange(1, 2_000_001) - 0.5) / 2_000_000
+    assert _same(metrics.norm.ppf(q), ndtri(q))
+    far = np.array([1e-15, 1e-20, 1e-100, 1e-300, 5e-324])  # x >= 8 in ndtri
+    edge = np.array([0.0, 1.0, -0.1, 1.1, np.nan])
+    for q in (far, 1.0 - far, edge):
+        assert _same(metrics.norm.ppf(q), ndtri(q)) and _same(metrics.norm.ppf(q), norm.ppf(q))
+
+    stream = substream(74, 0)
+    draws = stream.normal(1_000_000)
+    wide = stream.uniform(1_000_000) * 80.0 - 40.0
     edges = np.histogram_bin_edges([], bins=60, range=(-8.0, 8.0))
-    special = np.array([0.0, -0.0, 40.0, -40.0])
-    for x in (draws, edges, special):
-        assert np.array_equal(metrics.norm.cdf(x), norm.cdf(x))
-        assert np.array_equal(metrics.norm.sf(x), norm.sf(x))
-    for x in special:
-        assert metrics.norm.cdf(float(x)) == norm.cdf(float(x))
-        assert metrics.norm.sf(float(x)) == norm.sf(float(x))
+    # ndtr switches branch at |x| = 1, sqrt(2) and 8 sqrt(2), and exp(-x^2/2)
+    # underflows near |x| = 37.7: 64 steps of b's ulp on each side of each b.
+    steps = np.arange(-64, 65)
+    boundaries = np.concatenate([
+        b + steps * np.spacing(b)
+        for b in (1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * metrics._MAXLOG))
+    ])
+    boundaries = np.concatenate([boundaries, -boundaries])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0])
+    for x in (draws, wide, edges, boundaries, special):
+        assert _same(metrics.norm.cdf(x), ndtr(x)) and _same(metrics.norm.cdf(x), norm.cdf(x))
+        assert _same(metrics.norm.sf(x), ndtr(-x)) and _same(metrics.norm.sf(x), norm.sf(x))
+    for x in [*special.tolist(), 0.3, -2.5, 9.0]:
+        for value in (x, np.array(x)):  # a Python float and a 0-d array give a scalar
+            for ours, ref in ((metrics.norm.cdf, norm.cdf), (metrics.norm.sf, norm.sf),
+                              (metrics.norm.ppf, norm.ppf)):
+                got = ours(value)
+                assert np.ndim(got) == 0 and _same(got, ref(value))
+
+
+def test_gaussian_quantiles_are_cached_read_only():
+    grid = metrics._gaussian_quantiles(1_000)
+    assert metrics._gaussian_quantiles(1_000) is grid
+    assert np.array_equal(grid, norm.ppf((np.arange(1, 1_001) - 0.5) / 1_000))
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+
+
+def test_w1_estimates_same_bits_from_a_cold_and_a_warm_cache():
+    samples = substream(76, 0).normal((6_000, 2))
+    runs = []
+    for _ in range(2):
+        metrics._quantile_grid.cache_clear()
+        for _ in range(2):  # cold, then warm
+            runs.append((w1_1d(samples[:, 0]), w1_sliced(samples, substream(76, 1))))
+    assert all(run == runs[0] for run in runs)
 
 
 def test_w1_1d_matches_definition_and_shares_batch_quantiles(monkeypatch):
