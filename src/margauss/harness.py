@@ -5,7 +5,8 @@ computes closed-form and semi-empirical bounds next to empirical distances,
 and emits a deterministic CSV: identical config and seeds give byte-identical
 files. A row whose computation raises a ValueError, as every invalid
 combination does when its body or frame is built, is skipped with a logged
-reason, never silently.
+reason, never silently. The rows of one (body, n, seed) group draw the body
+once, together.
 """
 
 from __future__ import annotations
@@ -17,24 +18,33 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import stein
-from .bodies import parse_body_kind
+from .bodies import BodySpec, parse_body_kind
 from .core import ConstantsConfig, RandomStream, check_seed, substream
-from .frames import build_frame, frame_functionals
+from .frames import FrameFunctionals, build_frame, frame_functionals
 from .metrics import DistanceEstimate, ks_1d, tv_hist_1d, w1_1d, w1_sliced
-from .stein import PAIR_TERM_MIN_COUNT, PairSpec, corollary_bounds, row_pass, theorem_bounds
+from .stein import (
+    PAIR_TERM_MIN_COUNT,
+    BoundReport,
+    PairSpec,
+    corollary_bounds,
+    group_pass,
+    theorem_bounds,
+)
 
 logger = logging.getLogger(__name__)
 
 METRIC_CHOICES = ("w1", "ks", "tv")
 
 # The stream map: sweep row idx (its position in sort order) draws each role
-# from its own substream of the row's seed, 4·idx + ROW_STREAMS[role]. Every
-# subcommand that draws reads row 0's streams, so its values are row 0's.
+# from its own substream of the row's seed, 4·idx + ROW_STREAMS[role], except
+# the points: the rows of one (body, n, seed) group share one draw, from the
+# points stream 4·g + 2 of the group's first row g. Every subcommand that draws
+# reads row 0's streams, so its values are row 0's.
 ROW_STREAMS = {"frame": 0, "indices": 1, "points": 2, "directions": 3}
 
 
@@ -160,71 +170,144 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     emit byte-identical CSV files; wall-clock timing is opt-in because it
     would break that determinism.
 
-    Rows run concurrently, min(cores, rows) at a time (`stein._cores`, which
-    also sets the tile threads of a product row pass; with one core they run
-    serially, with no pool), so peak memory is that of that many rows in
-    flight. A row reads only its own streams, so every value is that of a
-    serial run, and its warnings are logged here in row order, as a serial
-    run logs them. A ValueError skips its own row; any other exception
-    reaches the caller. runtime_ms is each row's own elapsed time, which
-    overlaps that of the rows beside it.
+    The rows of one (body, n, seed) group share one draw of the body
+    (`_group_task`). Groups run concurrently, min(cores, groups) at a time
+    (`stein._cores`, which also sets the tile threads of a product pass; with
+    one core they run serially, with no pool). Peak memory is that of the
+    groups in flight: a group holds, for each of its rows, W (N, k) and, with
+    pair terms, the (N,) arrays frob, cubes and cond_second and the N symmetry
+    indices, plus one tile of points per thread, during its pass; after the
+    pass, each row's W until that row is done. Every value is that of a
+    serial run, and the rows' warnings are logged here in row order, as a
+    serial run logs them. A ValueError skips the rows it arises in; any other
+    exception reaches the caller, and the groups not yet started are
+    cancelled. runtime_ms is a row's own elapsed time plus that of its
+    group's shared pass, so the times of a group's rows overlap, and so do
+    those of groups in flight together.
     """
     combos = sorted(
         itertools.product(config.bodies, config.ns, config.ks, config.frames, config.seeds)
     )
-    task = partial(_row_task, config, measure_runtime)
-    workers = min(stein._cores(), len(combos))
+    groups: dict[tuple, list] = {}
+    for idx, combo in enumerate(combos):
+        body, n, _, _, seed = combo
+        groups.setdefault((body, n, seed), []).append((idx, combo))
+    task = partial(_group_task, config, measure_runtime)
+    workers = min(stein._cores(), len(groups))
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
-        rows = []
-        for row, notes in (pool.map if pool else map)(task, range(len(combos)), combos):
-            for note in notes:
-                logger.warning(*note)
-            if row is not None:
-                rows.append(row)
+        outcomes = [None] * len(combos)
+        rows, logged = [], 0
+        results = (pool.map if pool else map)(task, groups.values())
+        for group, group_results in zip(groups.values(), results):
+            for (idx, _), outcome in zip(group, group_results):
+                outcomes[idx] = outcome
+            while logged < len(outcomes) and outcomes[logged] is not None:
+                row, notes = outcomes[logged]
+                for note in notes:
+                    logger.warning(*note)
+                if row is not None:
+                    rows.append(row)
+                logged += 1
         return rows
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
 
 
-def _row_task(
-    config: ExperimentConfig, measure_runtime: bool, idx: int, combo: tuple
-) -> tuple[Optional[ResultRow], list[tuple]]:
-    """Row idx, or None if it is skipped, and its warnings as logger.warning arguments."""
-    notes = []
-    started = time.perf_counter()
-    try:
-        row = _compute_row(config, idx, *combo, notes)
-    except ValueError as exc:
-        notes.append(("skipping row body=%s n=%d k=%d frame=%s seed=%d: %s", *combo, exc))
-        return None, notes
-    if measure_runtime:
-        row = replace(row, runtime_ms=1000.0 * (time.perf_counter() - started))
-    return row, notes
+class _RowSetup(NamedTuple):
+    """What a row builds before its group's shared pass."""
+
+    spec: PairSpec
+    fun: FrameFunctionals
+    thm: BoundReport
+    indices: Optional[RandomStream]
+
+
+def _group_task(
+    config: ExperimentConfig, measure_runtime: bool, group: list[tuple[int, tuple]]
+) -> list[tuple[Optional[ResultRow], list[tuple]]]:
+    """The rows of one (body, n, seed) group, given as (idx, combo) in row order.
+
+    Returns each row, or None if it is skipped, with its warnings as
+    logger.warning arguments, in row order. The body is parsed once. Each row
+    builds its own frame and bounds and reads its own frame, indices and
+    directions streams; the points are drawn once for all rows, by
+    `stein.group_pass` on the points stream of the group's first row. A
+    ValueError skips the row it arises in, or every row still standing if it
+    arises in the body or in the shared pass.
+    """
+    g, (body_kind, n, _, _, seed) = group[0]
+    notes = [[] for _ in group]
+    seconds = [0.0] * len(group)  # each row's own time, plus the group's shared work
+    rows = [None] * len(group)
+
+    def attempt(members, fn, *args):
+        """fn(*args), timed for each row i in `members`, which all skip on a ValueError."""
+        started = time.perf_counter()
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            for i in members:
+                notes[i].append((
+                    "skipping row body=%s n=%d k=%d frame=%s seed=%d: %s", *group[i][1], exc,
+                ))
+            return None
+        finally:
+            elapsed = time.perf_counter() - started
+            for i in members:
+                seconds[i] += elapsed
+
+    body = attempt(range(len(group)), parse_body_kind, body_kind, n)
+    setups = {} if body is None else {
+        i: attempt([i], _build_row, config, body, idx, *combo, notes[i])
+        for i, (idx, combo) in enumerate(group)
+    }
+    live = [i for i, setup in setups.items() if setup is not None]
+    passes = dict.fromkeys(live, (None, None))
+    if live and (config.samples >= PAIR_TERM_MIN_COUNT or config.metrics):
+        results = attempt(
+            live, group_pass, [setups[i].spec for i in live], config.samples,
+            row_stream(seed, g, "points"), [setups[i].indices for i in live],
+        )
+        passes = {} if results is None else dict(zip(live, results))
+        del results
+    for i in list(passes):
+        idx, combo = group[i]
+        # Popped, so a row's W is freed as soon as that row is done.
+        rows[i] = attempt([i], _compute_row, config, idx, *combo, notes[i], setups[i],
+                          *passes.pop(i))
+        if measure_runtime and rows[i] is not None:
+            rows[i] = replace(rows[i], runtime_ms=1000.0 * seconds[i])
+    return list(zip(rows, notes))
+
+
+def _build_row(
+    config: ExperimentConfig, body: BodySpec, idx: int, body_kind: str, n: int, k: int,
+    frame_kind: str, seed: int, notes: list,
+) -> _RowSetup:
+    """Row idx's frame, functionals, theorem bounds and indices stream."""
+    frame = build_frame(frame_kind, n, k, row_stream(seed, idx, "frame"))
+    fun = frame_functionals(frame, body.geom)
+    thm = theorem_bounds(frame, body.geom, config.constants)
+    indices = row_stream(seed, idx, "indices") if config.samples >= PAIR_TERM_MIN_COUNT else None
+    if indices is None:
+        notes.append((
+            "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
+            body_kind, n, k, config.samples,
+        ))
+    return _RowSetup(PairSpec(body=body, frame=frame), fun, thm, indices)
 
 
 def _compute_row(
     config: ExperimentConfig, idx: int, body_kind: str, n: int, k: int, frame_kind: str, seed: int,
-    notes: list,
+    notes: list, setup: _RowSetup, w: Optional[np.ndarray], stats: Optional[stein.PairStatistics],
 ) -> ResultRow:
-    """Row idx of the sweep; each warning it has is appended to `notes`, not logged."""
-    body = parse_body_kind(body_kind, n)
-    frame = build_frame(frame_kind, n, k, row_stream(seed, idx, "frame"))
-    fun = frame_functionals(frame, body.geom)
-    thm = theorem_bounds(frame, body.geom, config.constants)
-    n_samples = config.samples
+    """Row idx of the sweep from its setup and its share of the group pass, (w, stats).
 
-    indices = row_stream(seed, idx, "indices") if n_samples >= PAIR_TERM_MIN_COUNT else None
-    if indices is None:
-        notes.append((
-            "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
-            body_kind, n, k, n_samples,
-        ))
-    stats = bound_d1_cor = bound_dtv_cor = None
-    if indices is not None or config.metrics:
-        spec = PairSpec(body=body, frame=frame)
-        w, stats = row_pass(spec, n_samples, row_stream(seed, idx, "points"), indices)
+    Each warning it has is appended to `notes`, not logged.
+    """
+    bound_d1_cor = bound_dtv_cor = None
     if stats is not None:
         cor = corollary_bounds(stats, config.constants)
         bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
@@ -240,16 +323,16 @@ def _compute_row(
     w1 = emp.get("w1")
 
     return ResultRow(
-        body=body.label(),
+        body=setup.spec.body.label(),
         n=n,
         k=k,
         frame=frame_kind,
         seed=seed,
-        N=n_samples,
-        l4_sum=fun.l4_sum,
-        simplex_quartic=fun.simplex_quartic,
-        bound_d1_thm=thm.d1_bound,
-        bound_dtv_thm=thm.dtv_bound,
+        N=config.samples,
+        l4_sum=setup.fun.l4_sum,
+        simplex_quartic=setup.fun.simplex_quartic,
+        bound_d1_thm=setup.thm.d1_bound,
+        bound_dtv_thm=setup.thm.dtv_bound,
         bound_d1_cor=bound_d1_cor,
         bound_dtv_cor=bound_dtv_cor,
         emp_w1=w1.value if w1 else None,

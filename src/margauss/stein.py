@@ -20,7 +20,7 @@ sum_a alpha_ia = 0 and the tight frame sum_a <y, v_a> v_a = ((n+1)/n) y give
         = (c^4/2) [2(n+1) sum_a alpha_ia alpha_ja gamma_a^2 + 2r delta_ij |x|^2 + 4r W_i W_j],
 
 so E_ij costs O(n k^2) per point instead of O(n^2 k). Each body has one closed
-form of E_ij, `_moment_sums`, which `row_pass` and `conditional_checks` both call.
+form of E_ij, `_moment_sums`, which `group_pass` and `conditional_checks` both call.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> Conditional
             residuals.append(astuple(conditional_checks(pts, spec)))
         return residuals
 
-    worst = np.max(np.concatenate(_split(spec, count, tile, stream, tiles)), axis=0)
+    worst = np.max(np.concatenate(_split(spec.body, count, tile, stream, tiles)), axis=0)
     return ConditionalResiduals(float(worst[0]), float(worst[1]))
 
 
@@ -241,7 +241,7 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _split(spec: PairSpec, count: int, tile: int, stream: RandomStream, run) -> list:
+def _split(body: BodySpec, count: int, tile: int, stream: RandomStream, run) -> list:
     """`run(lo, hi, stream)` on ranges of whole tiles of rows 0..count, in range order.
 
     A body reading one uniform per coordinate gets one range per CPU, drawn from a view
@@ -249,10 +249,10 @@ def _split(spec: PairSpec, count: int, tile: int, stream: RandomStream, run) -> 
     The first range, or the only one, runs on the calling thread.
     """
     n_tiles = -(-count // tile)
-    workers = min(_cores(), n_tiles) if spec.body.one_uniform_per_coordinate else 1
+    workers = min(_cores(), n_tiles) if body.one_uniform_per_coordinate else 1
     bounds = [tile * (n_tiles * i // workers) for i in range(workers)] + [count]
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts a thread per submit only
-        futures = [pool.submit(run, lo, hi, stream.ahead(lo * spec.n))
+        futures = [pool.submit(run, lo, hi, stream.ahead(lo * body.n))
                    for lo, hi in zip(bounds[1:-1], bounds[2:])]
         return [run(0, bounds[1], stream)] + [future.result() for future in futures]
 
@@ -280,26 +280,109 @@ class PairStatistics:
     lam: float
 
 
-def row_pass(
-    spec: PairSpec, count: int, stream: RandomStream, indices: Optional[RandomStream] = None
-) -> tuple[np.ndarray, Optional[PairStatistics]]:
-    """One pass over `count` body draws: W (count, k) and, with `indices`, the pair terms.
+class _RowTerms:
+    """W and, with an indices stream, the per-point pair terms of one spec in a `group_pass`.
 
-    With an `indices` stream the row first draws one symmetry index per point
-    from it (a reflection coordinate, or an edge of the simplex), so `stream`
-    carries the points alone and W does not depend on whether the pair terms
-    are computed. The points are drawn in tiles of about `_TILE_BUDGET`
-    elements, a multiple of 4 rows, into one reused buffer; each tile is
-    scaled, projected into W and reduced to its cube terms, then squared in
-    place and reduced to E_ij by `_moment_sums`, the closed form that
-    `conditional_checks` verifies, while it is still in cache. Product
-    tiles read the stream exactly as one draw of all `count` points would;
-    lp-ball draws take three arrays, so their values depend on the tile size.
-    Product-uniform and product-laplace tiles run on every CPU (`_split`), and
-    every value is that of one serial pass. The pass is the only reader of
-    `stream` and leaves it at no defined position. Memory is
-    O(tile * width * threads + count * k + k*k * m), width = max(m, k*k),
-    with m = n, or n + 1 for the simplex.
+    With an indices stream the row first draws one symmetry index per point from
+    it: a reflection coordinate, or an edge of the simplex.
+    """
+
+    def __init__(self, spec: PairSpec, count: int, indices: Optional[RandomStream]):
+        self.spec = spec
+        self.w = np.empty((count, spec.k))
+        self.pairs = indices is not None
+        spec.alpha  # read, like spec.products, before any worker thread starts
+        if not self.pairs:
+            return
+        spec.products
+        n = spec.n
+        if spec.body.kind == "simplex":
+            self.a, self.b = _edge_vertices(indices.integers(0, n * (n + 1) // 2, count), n + 1)
+        else:
+            self.idx = indices.integers(0, n, count)
+            self.coord_norm3 = np.sqrt(np.sum(spec.frame.rows**2, axis=0)) ** 3
+        self.frob = np.empty(count)
+        self.cubes = np.empty(count)
+        self.cond_second = np.empty(count) if spec.k == 1 else None
+
+    def project_tile(self, pts: np.ndarray, part: slice) -> None:
+        """Write W of a tile and, with pair terms, its cube terms; pts is still unsquared."""
+        spec = self.spec
+        simplex = spec.body.kind == "simplex"
+        self.w[part] = vertex_projection(pts, spec.alpha) if simplex else project(spec.frame, pts)
+        if not self.pairs:
+            return
+        r = np.arange(len(pts))
+        if simplex:
+            n, alpha = spec.n, spec.alpha
+            edge_coef = math.sqrt(n / (2.0 * (n + 1.0)))
+            ta, tb = self.a[part], self.b[part]
+            edge_x = edge_coef * (pts[r, ta] - pts[r, tb])
+            edge_t = edge_coef * (alpha[:, ta] - alpha[:, tb])  # (k, t)
+            self.cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
+        else:
+            ti = self.idx[part]
+            self.cubes[part] = 8.0 * np.abs(pts[r, ti]) ** 3 * self.coord_norm3[ti]
+
+    def reduce_tile(self, sq: np.ndarray, part: slice, norm2, out: np.ndarray) -> None:
+        """Reduce a tile's squared coordinates to E_ij (`_moment_sums`), in `out` (t, k*k)."""
+        n, k = self.spec.n, self.spec.k
+        e = _moment_sums(self.spec, sq, self.w[part], norm2, out=out)
+        if self.cond_second is not None:
+            self.cond_second[part] = (4.0 / n) * e[:, 0]
+        e[:, :: k + 1] -= 1.0  # E_ij = (4/n) (s - delta_ij), formed in place
+        e *= 4.0 / n
+        self.frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
+
+    def result(self) -> tuple[np.ndarray, Optional[PairStatistics]]:
+        if not self.pairs:
+            return self.w, None
+        spec = self.spec
+        frob_mean, frob_se = batch_mean_se(self.frob)
+        m3_mean, m3_se = batch_mean_se(self.cubes)
+        cond = self.cond_second
+        condvar, condvar_se = (None, None) if cond is None else batch_var_se(cond)
+        return self.w, PairStatistics(
+            term_E=frob_mean / spec.lam,
+            term_E_se=frob_se / spec.lam,
+            term_M3=m3_mean,
+            term_M3_se=m3_se,
+            condvar_proxy=condvar,
+            condvar_proxy_se=condvar_se,
+            count=len(self.w),
+            k=spec.k,
+            n=spec.n,
+            lam=spec.lam,
+        )
+
+
+def group_pass(
+    specs: list[PairSpec],
+    count: int,
+    stream: RandomStream,
+    indices: list[Optional[RandomStream]],
+) -> list[tuple[np.ndarray, Optional[PairStatistics]]]:
+    """One pass over `count` draws of one body, shared by specs of several frames.
+
+    Returns W (count, k) for each spec and, where its entry of `indices` is a
+    stream, its pair terms. Every spec has the body of the first. The points
+    are drawn once, in tiles of about `_TILE_BUDGET` elements, a multiple of 4
+    rows, into one reused buffer, and `stream` carries the points alone: a
+    spec's symmetry indices come from its own stream, so W does not depend on
+    whether the pair terms are computed. While a tile is in cache, each spec
+    projects it into its W and takes its cube terms; then the tile is squared
+    in place once, and each spec reduces it to E_ij by `_moment_sums`, the
+    closed form that `conditional_checks` verifies. A spec's values are those
+    of a pass with its frame alone in tiles of the same size.
+
+    The tile is sized by the widest spec: width max(m, k*k) over the specs,
+    with m = n, or n + 1 for the simplex. Product tiles read the stream
+    exactly as one draw of all `count` points would; lp-ball draws take three
+    arrays, so their values depend on the tile size. Product-uniform and
+    product-laplace tiles run on every CPU (`_split`), and every value is that
+    of one serial pass. The pass is the only reader of `stream` and leaves it
+    at no defined position. Memory is O(tile * width * threads) plus, for each
+    spec, O(count * k + k*k * m) and with pair terms four (count,) arrays.
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij from the edge-sum
@@ -310,91 +393,52 @@ def row_pass(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    pair_terms = indices is not None
-    if pair_terms and count < PAIR_TERM_MIN_COUNT:
+    body = specs[0].body
+    if any(spec.body != body for spec in specs):
+        raise ValueError("the specs of a group pass must share one body")
+    if any(ix is not None for ix in indices) and count < PAIR_TERM_MIN_COUNT:
         raise ValueError(f"need count >= 10^4, got {count}")
-    rows = spec.frame.rows
-    k, n = rows.shape
-    lam = spec.lam
-    alpha = spec.alpha  # read, like spec.products, before any worker thread starts
-    if pair_terms:
-        spec.products
-    m = alpha.shape[1]  # n + 1 for the simplex: gamma holds one coordinate per vertex
-
-    simplex = spec.body.kind == "simplex"
-    if simplex:
-        edge_coef = math.sqrt(n / (2.0 * (n + 1.0)))
-    else:
-        coord_norm3 = np.sqrt(np.sum(rows**2, axis=0)) ** 3
-    width = max(m, k * k)  # the body buffer and the (tile, k*k) pair-term sums
+    rows = [_RowTerms(spec, count, ix) for spec, ix in zip(specs, indices, strict=True)]
+    pairs = [row for row in rows if row.pairs]
+    simplex = body.kind == "simplex"
+    n = body.n
+    m = n + 1 if simplex else n  # gamma holds one coordinate per simplex vertex
+    width = max(m, max(spec.k for spec in specs) ** 2)  # the body buffer and the sums
     # Tiles hold a multiple of 4 rows: BLAS matrix-vector kernels take rows in
     # groups of four and round an operand's last 1-3 rows differently, so
     # aligned tiles give k = 1 the bits of one single-threaded product over
     # all the rows.
     tile = min(count, max(4, _TILE_BUDGET // width // 4 * 4))
 
-    w = np.empty((count, k))
-    if pair_terms:
-        if simplex:
-            a, b = _edge_vertices(indices.integers(0, n * (n + 1) // 2, count), n + 1)
-        else:
-            idx = indices.integers(0, n, count)
-        frob = np.empty(count)
-        cubes = np.empty(count)
-        cond_second = np.empty(count) if k == 1 else None
-
     def tiles(lo: int, hi: int, stream: RandomStream) -> None:
-        """Draw rows lo..hi tile by tile and write their W and pair terms."""
-        body = np.empty((tile, m))  # the tile's points, or gamma for the simplex
-        sums = np.empty((tile, k * k)) if pair_terms else None
+        """Draw rows lo..hi tile by tile and write every spec's W and pair terms."""
+        buf = np.empty((tile, m))  # the tile's points, or gamma for the simplex
+        sums = {k: np.empty((tile, k * k)) for k in {row.spec.k for row in pairs}}
         for start in range(lo, hi, tile):
-            t = min(tile, hi - start)
-            part = slice(start, start + t)
-            pts = body[:t]
+            pts = buf[: min(tile, hi - start)]
+            part = slice(start, start + len(pts))
             if simplex:
-                simplex_vertex_coords(spec.body.geom, stream, t, out=pts)
-                w[part] = vertex_projection(pts, alpha)
+                simplex_vertex_coords(body.geom, stream, len(pts), out=pts)
             else:
-                sample_body(spec.body, stream, t, out=pts)
-                w[part] = project(spec.frame, pts)
-            if not pair_terms:
+                sample_body(body, stream, len(pts), out=pts)
+            for row in rows:
+                row.project_tile(pts, part)
+            if not pairs:
                 continue
-            r = np.arange(t)
             norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts) if simplex else None
-            if simplex:
-                ta, tb = a[part], b[part]
-                edge_x = edge_coef * (pts[r, ta] - pts[r, tb])
-                edge_t = edge_coef * (alpha[:, ta] - alpha[:, tb])  # (k, t)
-                cubes[part] = 8.0 * np.abs(edge_x) ** 3 * np.sqrt(np.sum(edge_t**2, axis=0)) ** 3
-            else:
-                ti = idx[part]
-                cubes[part] = 8.0 * np.abs(pts[r, ti]) ** 3 * coord_norm3[ti]
-            e = _moment_sums(spec, np.square(pts, out=pts), w[part], norm2, out=sums[:t])
-            if cond_second is not None:
-                cond_second[part] = (4.0 / n) * e[:, 0]
-            e[:, :: k + 1] -= 1.0  # E_ij = (4/n) (s - delta_ij), formed in place
-            e *= 4.0 / n
-            frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
+            np.square(pts, out=pts)
+            for row in pairs:
+                row.reduce_tile(pts, part, norm2, sums[row.spec.k][: len(pts)])
 
-    _split(spec, count, tile, stream, tiles)
-    if not pair_terms:
-        return w, None
+    _split(body, count, tile, stream, tiles)
+    return [row.result() for row in rows]
 
-    frob_mean, frob_se = batch_mean_se(frob)
-    m3_mean, m3_se = batch_mean_se(cubes)
-    condvar, condvar_se = (None, None) if cond_second is None else batch_var_se(cond_second)
-    return w, PairStatistics(
-        term_E=frob_mean / lam,
-        term_E_se=frob_se / lam,
-        term_M3=m3_mean,
-        term_M3_se=m3_se,
-        condvar_proxy=condvar,
-        condvar_proxy_se=condvar_se,
-        count=count,
-        k=k,
-        n=n,
-        lam=lam,
-    )
+
+def row_pass(
+    spec: PairSpec, count: int, stream: RandomStream, indices: Optional[RandomStream] = None
+) -> tuple[np.ndarray, Optional[PairStatistics]]:
+    """`group_pass` with one spec: W (count, k) and, with `indices`, the pair terms."""
+    return group_pass([spec], count, stream, [indices])[0]
 
 
 def estimate_pair_terms(

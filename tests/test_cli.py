@@ -700,10 +700,12 @@ def test_cli_runs_on_numpy_alone(tmp_path):
 
 
 def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
-    # Rows run on one thread per CPU: product-gaussian, lp-ball and simplex
-    # rows each whole on one thread, product-uniform rows with their tiles
-    # split again. At one and at two BLAS threads, a run patched to one core
-    # (no row pool, no tile split) must write the bytes of a run at the default.
+    # Groups of rows run on one thread per CPU: each (body, n, seed) group holds
+    # the k = 1 and k = 2 rows, which share one draw, and the two seeds interleave
+    # the groups' rows in sort order. Product-gaussian, lp-ball and simplex
+    # groups run each whole on one thread, product-uniform groups with their
+    # tiles split again. At one and at two BLAS threads, a run patched to one
+    # core (no group pool, no tile split) must write the bytes of a run at the default.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform", "product-gaussian", "lp-ball(1.5)", "simplex"],
@@ -727,14 +729,14 @@ def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
 
 
 def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
-    # Product-uniform and product-laplace rows run their tiles on one thread
+    # Product-uniform and product-laplace groups run their tiles on one thread
     # per CPU, and OpenBLAS (itself at two threads here) is then called from
-    # two threads at once. Two runs and a run patched to one worker must
-    # write the same bytes.
+    # two threads at once. Each group's pass serves two ks and two frames. Two
+    # runs and a run patched to one worker must write the same bytes.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform", "product-laplace"], "ns": [256, 1024], "ks": [1, 2],
-        "frames": ["haar"], "samples": 30_000, "seeds": [3], "metrics": ["w1"],
+        "frames": ["haar", "walsh"], "samples": 30_000, "seeds": [3], "metrics": ["w1"],
     }))
     outs = [tmp_path / f"rows{i}.csv" for i in range(3)]
     result = run_under_address_limit(
@@ -748,6 +750,6 @@ def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     first = outs[0].read_bytes()
-    assert len(read_result_csv(outs[0])) == 8
+    assert len(read_result_csv(outs[0])) == 16
     assert outs[1].read_bytes() == first
     assert outs[2].read_bytes() == first

@@ -20,7 +20,7 @@ from margauss.harness import (
     run_experiment,
 )
 from margauss.metrics import w1_1d
-from margauss.stein import PairSpec, corollary_bounds, estimate_pair_terms
+from margauss.stein import PairSpec, corollary_bounds, estimate_pair_terms, row_pass
 
 
 def small_config(**overrides):
@@ -112,19 +112,20 @@ def test_invalid_combos_skipped_with_log(caplog):
 
 def test_row_workers_log_in_row_order(monkeypatch, caplog):
     # Valid rows, rows whose Walsh frame cannot be built (k = 80 > 64), rows
-    # without pair terms (samples < 10^4), and ks and tv skipped at k = 2.
-    config = small_config(ns=(16, 100), ks=(1, 2, 80), samples=5_000,
+    # without pair terms (samples < 10^4), and ks and tv skipped at k = 2. The
+    # two seeds interleave the rows of the four (body, n, seed) groups.
+    config = small_config(ns=(16, 100), ks=(1, 2, 80), samples=5_000, seeds=(1, 2),
                           metrics=("w1", "ks", "tv"))
-    compute_row = harness._compute_row
+    group_task = harness._group_task
     threads = set()
 
-    def first_row_last(config, idx, *args):
+    def first_group_last(config, measure_runtime, group):
         threads.add(threading.current_thread() is threading.main_thread())
-        if idx == 0:
-            time.sleep(0.2)  # the other worker finishes the later rows first
-        return compute_row(config, idx, *args)
+        if group[0][0] == 0:
+            time.sleep(0.2)  # the other worker finishes the later groups first
+        return group_task(config, measure_runtime, group)
 
-    monkeypatch.setattr(harness, "_compute_row", first_row_last)
+    monkeypatch.setattr(harness, "_group_task", first_group_last)
     runs = []
     for cores in (1, 2):
         monkeypatch.setattr(stein, "_cores", lambda: cores)
@@ -136,47 +137,105 @@ def test_row_workers_log_in_row_order(monkeypatch, caplog):
         runs.append((rows, records, threads.copy()))
     (rows, records, on_main), (rows2, records2, on_main2) = runs
     assert on_main == {True} and on_main2 == {False}
-    assert rows2 == rows and len(rows) == 4
+    assert rows2 == rows and len(rows) == 8
+    assert [(r.n, r.k, r.seed) for r in rows] == [
+        (n, k, seed) for n in (16, 100) for k in (1, 2) for seed in (1, 2)
+    ]
     assert records2 == records
     messages = [message for _, _, message in records]
-    assert len(messages) == 10
-    assert messages[:4] == [
-        "skipping semi-empirical bounds for body=product-uniform n=16 k=1: samples=5000 < 10^4",
-        "skipping semi-empirical bounds for body=product-uniform n=16 k=2: samples=5000 < 10^4",
-        "skipping ks for k=2: ks is a one-dimensional estimator; use k=1",
-        "skipping tv for k=2: tv is a one-dimensional estimator; use k=1",
-    ]
-    assert messages[4].startswith("skipping row body=product-uniform n=16 k=80 frame=walsh")
+    assert len(messages) == 20
+    semi = "skipping semi-empirical bounds for body=product-uniform n=16 k=%d: samples=5000 < 10^4"
+    one_d = "skipping %s for k=2: %s is a one-dimensional estimator; use k=1"
+    assert messages[:8] == [semi % 1, semi % 1, semi % 2, one_d % ("ks", "ks"),
+                            one_d % ("tv", "tv"), semi % 2, one_d % ("ks", "ks"),
+                            one_d % ("tv", "tv")]
+    for seed, message in zip((1, 2), messages[8:10]):
+        assert message.startswith(
+            f"skipping row body=product-uniform n=16 k=80 frame=walsh seed={seed}: "
+            "walsh frame needs k <= m where m = 16 "
+        )
 
 
 def fail_row_1_off_main_thread(monkeypatch, error):
-    """Run rows on two workers and make row 1 raise `error` on its worker thread."""
-    compute_row = harness._compute_row
+    """Run groups on two workers and make `_compute_row` raise `error` for row 1 on its
+    worker thread, after its group's shared pass."""
+    original = harness._compute_row
 
-    def compute(config, idx, *args):
+    def failing(config, idx, *args):
         if idx == 1 and threading.current_thread() is not threading.main_thread():
             raise error
-        return compute_row(config, idx, *args)
+        return original(config, idx, *args)
 
     monkeypatch.setattr(stein, "_cores", lambda: 2)
-    monkeypatch.setattr(harness, "_compute_row", compute)
+    monkeypatch.setattr(harness, "_compute_row", failing)
 
 
 def test_row_worker_error_reaches_the_caller(monkeypatch):
+    # Row 1 shares its group and pass with row 0; the error passes through the
+    # group's per-row ValueError handling to the caller.
     fail_row_1_off_main_thread(monkeypatch, RuntimeError("row failed"))
     with pytest.raises(RuntimeError, match="row failed"):
-        run_experiment(small_config(metrics=()))
+        run_experiment(small_config(ks=(1, 2), metrics=()))
 
 
 def test_row_worker_value_error_skips_its_row_alone(monkeypatch, caplog):
-    config = small_config(metrics=())
+    # Rows 0 and 1 (k = 1 and 2 at n = 16) share one group and one pass.
+    config = small_config(ks=(1, 2), metrics=("w1",))
     expected = run_experiment(config)
     fail_row_1_off_main_thread(monkeypatch, ValueError("bad row"))
     with caplog.at_level(logging.WARNING):
         rows = run_experiment(config)
-    assert rows == [expected[0], expected[2]]
+    assert rows == expected[:1] + expected[2:]
     assert [rec.getMessage() for rec in caplog.records] == [
-        "skipping row body=product-uniform n=64 k=1 frame=walsh seed=1: bad row"
+        "skipping row body=product-uniform n=16 k=2 frame=walsh seed=1: bad row"
+    ]
+
+
+def test_failing_frame_or_metric_skips_its_row_alone(monkeypatch, caplog):
+    # One group of six rows: the 'nope' frame cannot be built, and the metric
+    # of the k = 2 rows (w1_sliced) is made to fail.
+    config = small_config(ns=(16,), ks=(1, 2), frames=("haar", "nope", "walsh"),
+                          samples=10_000, metrics=("w1",))
+    expected = run_experiment(config)
+    assert [(r.k, r.frame) for r in expected] == [
+        (k, frame) for k in (1, 2) for frame in ("haar", "walsh")
+    ]
+
+    def fail(*args):
+        raise ValueError("metric failed")
+
+    monkeypatch.setattr(harness, "w1_sliced", fail)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        rows = run_experiment(config)
+    assert rows == expected[:2]
+    assert all(r.emp_w1 is not None and r.bound_d1_cor is not None for r in rows)
+    nope = "unknown frame kind 'nope'"
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"skipping row body=product-uniform n=16 k={k} frame={frame} seed=1: {reason}"
+        for k, frame, reason in [(1, "nope", nope), (2, "haar", "metric failed"),
+                                 (2, "nope", nope), (2, "walsh", "metric failed")]
+    ]
+
+
+def test_failing_shared_pass_skips_its_group_alone(monkeypatch, caplog):
+    # Groups (n = 16) and (n = 64), two rows each; the pass of the n = 64 group fails.
+    config = small_config(ns=(16, 64), ks=(1, 2), metrics=("w1",))
+    expected = run_experiment(config)
+    group_pass = harness.group_pass
+
+    def fail_at_64(specs, *args):
+        if specs[0].n == 64:
+            raise ValueError("pass failed")
+        return group_pass(specs, *args)
+
+    monkeypatch.setattr(harness, "group_pass", fail_at_64)
+    with caplog.at_level(logging.WARNING):
+        rows = run_experiment(config)
+    assert rows == expected[:2]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"skipping row body=product-uniform n=64 k={k} frame=walsh seed=1: pass failed"
+        for k in (1, 2)
     ]
 
 
@@ -211,10 +270,14 @@ def test_metrics_sample_stitched_across_chunks():
     assert row.emp_w1 == pytest.approx(full.value, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "body,n,k,frame", [("product-uniform", 64, 1, "walsh"), ("simplex", 16, 2, "haar")]
-)
-def test_row_draws_each_body_element_once(body, n, k, frame, monkeypatch):
+@pytest.mark.parametrize("body,n,ks,frames", [
+    pytest.param("product-uniform", 64, (1,), ("walsh",), id="product-uniform-64-1-walsh"),
+    pytest.param("simplex", 16, (2,), ("haar",), id="simplex-16-2-haar"),
+    # One group of four rows: 2 ks x 2 frames share one draw.
+    pytest.param("product-uniform", 64, (1, 2), ("haar", "walsh"), id="product-uniform-64-group"),
+    pytest.param("simplex", 16, (1, 2), ("haar", "walsh"), id="simplex-16-group"),
+])
+def test_row_draws_each_body_element_once(body, n, ks, frames, monkeypatch):
     drawn = []
 
     def counting(fn, count_of):
@@ -238,10 +301,40 @@ def test_row_draws_each_body_element_once(body, n, k, frame, monkeypatch):
                 counting(bodies.simplex_vertex_coords, lambda g: g.shape[0] * n),
             )
     count = 20_000
-    config = small_config(bodies=(body,), ns=(n,), ks=(k,), frames=(frame,), samples=count)
-    row = run_experiment(config)[0]
-    assert row.emp_w1 is not None and row.bound_d1_cor is not None
+    config = small_config(bodies=(body,), ns=(n,), ks=ks, frames=frames, samples=count)
+    rows = run_experiment(config)
+    assert len(rows) == len(ks) * len(frames)
+    assert all(row.emp_w1 is not None and row.bound_d1_cor is not None for row in rows)
     assert sum(drawn) == count * n
+
+
+@pytest.mark.parametrize("body", ["product-uniform", "product-laplace", "simplex"])
+def test_each_group_row_matches_a_pass_of_its_own(body, monkeypatch):
+    # Each row of a (body, n, seed) group gets the values of a one-spec pass over
+    # the points stream of the group's first row g and its own indices stream.
+    count, n = 10_000, 16
+    config = small_config(bodies=(body,), ns=(n,), ks=(1, 2), frames=("haar", "walsh"),
+                          samples=count, seeds=(3, 4))
+    seen = []
+    compute_row = harness._compute_row
+
+    def record(config, idx, body, n, k, frame, seed, notes, setup, w, stats):
+        seen.append((idx, k, frame, seed, setup.spec, w, stats))
+        return compute_row(config, idx, body, n, k, frame, seed, notes, setup, w, stats)
+
+    monkeypatch.setattr(harness, "_compute_row", record)
+    rows = run_experiment(config)
+    assert len(seen) == len(rows) == 8
+    first = {seed: min(idx for idx, *_, s, _, _, _ in seen if s == seed) for seed in (3, 4)}
+    assert first == {3: 0, 4: 1}  # the two groups interleave in sort order
+    for idx, k, frame, seed, spec, w, stats in seen:
+        own_frame = build_frame(frame, n, k, harness.row_stream(seed, idx, "frame"))
+        assert np.array_equal(spec.frame.rows, own_frame.rows)
+        w1, stats1 = row_pass(spec, count, harness.row_stream(seed, first[seed], "points"),
+                              harness.row_stream(seed, idx, "indices"))
+        assert np.array_equal(w, w1)
+        assert (stats.term_E, stats.term_M3, stats.condvar_proxy) == (
+            stats1.term_E, stats1.term_M3, stats1.condvar_proxy)
 
 
 def test_row_pair_bounds_match_estimate_pair_terms():

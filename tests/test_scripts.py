@@ -1,17 +1,22 @@
 """Smoke tests of the scripts under scripts/, run in-process on small inputs."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, capsys, *argv):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main(list(argv)) == 0
+    return module
+
+
+def run_script(name, capsys, *argv):
+    assert load_script(name).main(list(argv)) == 0
     return capsys.readouterr().out.splitlines()
 
 
@@ -37,3 +42,39 @@ def test_smoothing_scan_prints_a_row_per_density(capsys):
         assert row[1] == "0.100" and float(row[3]) == 0.282843  # 2 sqrt(2) t to 6 digits
         assert 0 < float(row[4]) <= 1
     assert len(cells[2]) == 6 and float(cells[2][5]) > 0  # the exact Gaussian distance
+
+
+def canned_run(wall_s, seed):
+    """The stdout of one `perfbench/run.py --trace 0` run, as it prints it."""
+    verdict = {"correct": True, "attempted": 24, "failed": 0, "metrics": {
+        "wall_s": {"value": wall_s, "unit": "s"},
+        "setup_s": {"value": 0.25, "unit": "s"},
+        "peak_rss_mb": {"value": 130.0, "unit": "MB"},
+    }}
+    return "\n".join([
+        f"perfbench: sliced-lowdim seed={seed} OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 "
+        "MKL_NUM_THREADS=1",
+        "perfbench: round 0: setup_s=0.2500 wall_s=0.7000 peak_rss_mb=130.0 blas_threads=1",
+        "perfbench: round 1: setup_s=0.2400 wall_s=0.6000 peak_rss_mb=130.0 blas_threads=1",
+        json.dumps(verdict),
+    ]) + "\n"
+
+
+def test_bench_ab_aggregates_canned_runs():
+    bench = load_script("bench_ab")
+    run = bench.parse_run(canned_run(0.7, 41))
+    assert run == {"correct": True, "attempted": 24, "failed": 0, "blas_threads": [1],
+                   "metrics": {"wall_s": 0.7, "setup_s": 0.25, "peak_rss_mb": 130.0}}
+    before = [bench.parse_run(canned_run(w, 41 + i))
+              for i, w in enumerate([0.70, 0.72, 0.68, 0.75, 0.71])]
+    after = [bench.parse_run(canned_run(w, 41 + i))
+             for i, w in enumerate([0.60, 0.73, 0.55, 0.58, 0.57])]
+    summary = bench.summarize(before)["wall_s"]
+    # Sorted 0.68, 0.70, 0.71, 0.72, 0.75: inclusive quartiles at positions 1, 2 and 3.
+    assert summary == {"median": 0.71, "q1": 0.70, "q3": 0.72}
+    assert bench.summarize(before[:1])["setup_s"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
+    row = bench.compare(before, after)["wall_s"]
+    assert row["before_median"] == 0.71 and row["after_median"] == 0.58
+    assert (row["after_lower"], row["pairs"]) == (4, 5)
+    assert abs(row["before_iqr"] - 0.02) < 1e-12
+    assert bench.compare(before, after)["peak_rss_mb"]["after_lower"] == 0  # ties count for neither
