@@ -20,6 +20,8 @@ PRODUCT_KINDS = ("product-uniform", "product-laplace", "product-gaussian")
 BODY_KINDS = PRODUCT_KINDS + ("lp-ball", "simplex")
 
 GEOM_TOL = 1e-10
+# Elements of one draw block (1 MiB of float64), sized to stay in L2 cache.
+_BLOCK_BUDGET = 131_072
 
 
 @dataclass(frozen=True)
@@ -51,15 +53,10 @@ class BodySpec:
         return self.kind != "simplex"
 
     @property
-    def one_uniform_per_coordinate(self) -> bool:
-        """Whether a draw of c points reads exactly c * n uniforms from its stream.
-
-        Then the stream position of any point is known in advance, and a draw
-        can start at point i by jumping the stream (`RandomStream.ahead`).
-        Normals, exponentials and gamma variates use a variable number of
-        stream values, so product-gaussian, lp-ball and simplex draws cannot.
-        """
-        return self.kind in ("product-uniform", "product-laplace")
+    def block(self) -> int:
+        """Points per draw block (`sample_body`): 1 MiB of coordinates, n + 1 for the simplex."""
+        m = self.n + 1 if self.kind == "simplex" else self.n
+        return max(4, _BLOCK_BUDGET // m // 4 * 4)
 
     @cached_property
     def geom(self) -> Optional["SimplexGeometry"]:
@@ -115,6 +112,14 @@ class SimplexGeometry:
                 raise ValueError(f"vertex index {idx} out of range 0..{self.n}")
         coef = math.sqrt(self.n / (2.0 * (self.n + 1)))
         return coef * (self.vertices[i] - self.vertices[j])
+
+    def vertex_products(self, rows: np.ndarray) -> np.ndarray:
+        """<theta_i, v_a>, (k, n+1), for frame rows (k, n), by einsum's own loop.
+
+        A threaded BLAS product splits each sum between threads, so its bits
+        would depend on the BLAS thread count.
+        """
+        return np.einsum("kn,an->ka", rows, self.vertices, optimize=False)
 
     def unordered_edge_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All u_ij with i < j, stacked as a (n(n+1)/2, n) matrix.
@@ -178,38 +183,47 @@ def sample_body(
     stream: RandomStream,
     count: int,
     out: Optional[np.ndarray] = None,
+    first_block: int = 0,
 ) -> SampleBatch:
-    """Draw `count` iid points from the body's isotropic distribution.
+    """Draw `count` iid points from the body's isotropic distribution, in whole blocks.
 
-    With `out`, a (count, n) float64 array, the points are written there and
-    the batch holds `out`. Product draws take one array of stream values per
-    call, so drawing N points in pieces gives the same points as one draw of
-    N; lp-ball draws take three arrays, so lp-ball points depend on how N is
-    split (the row pass splits it into tiles).
+    Every draw of a body is made in blocks of `spec.block` points, block b
+    from its own stream `stream.block(b)`, and a block is always drawn whole.
+    So a point depends only on the stream and its position there, never on
+    the count, the thread or the pieces of a draw. The points start at block
+    `first_block`. With `out`, a (count, n) float64 array, they are written there.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    n = spec.n
-    if out is not None and out.shape != (count, n):
+    n, block = spec.n, spec.block
+    if out is None:
+        out = np.empty((count, n))
+    elif out.shape != (count, n):
         raise ValueError(f"out must have shape ({count}, {n}), got {out.shape}")
+    for i, lo in enumerate(range(0, count, block)):
+        part = out[lo:lo + block]
+        whole = part if len(part) == block else np.empty((block, n))
+        _draw_block(spec, stream.block(first_block + i), whole)
+        if whole is not part:
+            part[...] = whole[: len(part)]
+    return SampleBatch(body=spec, points=out, seed=stream.seed, stream_id=stream.stream_id)
+
+
+def _draw_block(spec: BodySpec, stream: RandomStream, out: np.ndarray) -> None:
+    """Write one block of points, drawn from the block's own stream, into `out`."""
     if spec.kind == "product-uniform":
-        pts = stream.uniform((count, n), out=out)
-        pts -= 0.5  # exact on [0, 1), as is 2 fl(sqrt 3): one rounding, as in (2u - 1) sqrt 3
-        pts *= 2.0 * math.sqrt(3.0)
+        stream.uniform(out=out)
+        out -= 0.5  # exact on [0, 1), as is 2 fl(sqrt 3): one rounding, as in (2u - 1) sqrt 3
+        out *= 2.0 * math.sqrt(3.0)
     elif spec.kind == "product-gaussian":
-        pts = stream.normal((count, n), out=out)
+        stream.normal(out=out)
     elif spec.kind == "product-laplace":
-        pts = _laplace_from_uniform(stream.uniform((count, n), out=out))
+        _laplace_from_uniform(stream.uniform(out=out))
     elif spec.kind == "lp-ball":
-        pts = _sample_lp_ball(spec.n, spec.p, stream, count)
-    elif spec.kind == "simplex":
-        pts = spec.geom.scale * (_simplex_weights(n, stream, count) @ spec.geom.vertices)
-    else:  # pragma: no cover - guarded by BodySpec
-        raise ValueError(spec.kind)
-    if out is not None and pts is not out:
-        out[...] = pts
-        pts = out
-    return SampleBatch(body=spec, points=pts, seed=stream.seed, stream_id=stream.stream_id)
+        out[...] = _sample_lp_ball(spec.n, spec.p, stream, len(out))
+    else:
+        np.matmul(_simplex_weights(spec.n, stream, len(out)), spec.geom.vertices, out=out)
+        out *= spec.geom.scale
 
 
 def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
@@ -245,18 +259,16 @@ def _simplex_weights(
     return weights
 
 
-def simplex_vertex_coords(
-    geom: SimplexGeometry, stream: RandomStream, count: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Vertex coordinates gamma_a = <v_a, x>, (count, n+1), of `count` uniform points.
+def simplex_vertex_coords(geom: SimplexGeometry, stream: RandomStream, out: np.ndarray):
+    """Vertex coordinates gamma_a = <v_a, x> of one block's points, into `out` (block, n+1).
 
-    Reads the same stream values as `sample_body`: with x = scale * (w @ V),
-    <v_a, v_b> = -1/n for a != b and sum_b w_b = 1, gamma = scale ((n+1)/n w - 1/n).
-    The points themselves are never formed; see `vertex_projection`. With
-    `out`, a (count, n+1) float64 array, gamma is written there.
+    `stream` is the block's stream, so the points are that block of
+    `sample_body`: with x = scale * (w @ V), <v_a, v_b> = -1/n for a != b and
+    sum_b w_b = 1, gamma = scale ((n+1)/n w - 1/n). The points themselves are
+    never formed; see `vertex_projection`.
     """
     n = geom.n
-    gamma = _simplex_weights(n, stream, count, out)
+    gamma = _simplex_weights(n, stream, len(out), out)
     gamma *= geom.scale * (n + 1.0) / n
     gamma -= geom.scale / n
     return gamma

@@ -3,8 +3,10 @@
 Subcommands: frames, sample, verify pair, bounds, smoothing, distance,
 experiment. Seeds given on the command line are overridden by the MG_SEED
 environment variable when it is set. A subcommand that draws reads the
-streams of sweep row 0 (`harness.row_stream`), so its frame, points and
-distances are those of the first row of a sweep at the same seed.
+streams of sweep row 0 (`harness.row_stream`). Every body is drawn in whole
+blocks, each from its own stream (`bodies.sample_body`), so a point depends
+only on its stream and its position there: `sample --count c` writes the
+first c points that `verify pair` checks and `distance` and row 0 project.
 """
 
 from __future__ import annotations
@@ -37,8 +39,14 @@ def _cmd_frames(args) -> int:
 
 def _cmd_sample(args) -> int:
     spec = bodies.parse_body_kind(args.body, args.n)
-    batch = bodies.sample_body(spec, row_stream(resolve_seed(args.seed), 0, "points"), args.count)
-    np.savetxt(args.out, batch.points, fmt="%.17g", delimiter=",")
+    stream = row_stream(resolve_seed(args.seed), 0, "points")
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
+    with open(args.out, "w") as fh:  # one block in memory at a time
+        for b, lo in enumerate(range(0, args.count, spec.block)):
+            rows = min(spec.block, args.count - lo)
+            batch = bodies.sample_body(spec, stream, rows, first_block=b)
+            np.savetxt(fh, batch.points, fmt="%.17g", delimiter=",")
     return 0
 
 

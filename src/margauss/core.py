@@ -52,18 +52,17 @@ class RandomStream:
 
     Identical (seed, stream_id) pairs replay the identical sequence. The
     underlying generator is created lazily; a stream instance is consumed
-    sequentially and must be used by one thread at a time. This holds for
-    each stream and for each view made by `ahead`: a view has a generator
-    of its own, so a stream and its views may be drawn from on different
-    threads at once.
+    sequentially and must be used by one thread at a time. Each block
+    (`block`) is a stream of its own, which any thread may build and use.
     """
 
     seed: int
     stream_id: int = 0
+    blocks: tuple[int, ...] = ()  # the path of `block` calls that made this stream
 
     @cached_property
     def _rng(self) -> np.random.Generator:
-        root = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        root = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, *self.blocks))
         return np.random.default_rng(root)
 
     # With `out`, the draw fills that float64 array in place and returns it;
@@ -83,23 +82,10 @@ class RandomStream:
     def integers(self, low: int, high: int, size=None):
         return self._rng.integers(low, high, size=size)
 
-    def ahead(self, offset: int) -> "RandomStream":
-        """A view whose `uniform` draws start `offset` doubles past this stream's next one.
-
-        The view copies the generator state and jumps it ahead in O(log offset)
-        steps; drawing from it leaves this stream unchanged. `Generator.random`
-        spends one 64-bit PCG64 output per double, so a jump of `offset`
-        outputs skips `offset` doubles. A view is for `uniform` alone: the jump
-        drops the buffered 32-bit half-output that bounded integer draws read.
-        """
-        bits = self._rng.bit_generator
-        assert isinstance(bits, np.random.PCG64), type(bits)
-        jumped = np.random.PCG64(0)
-        jumped.state = bits.state
-        jumped.advance(offset)
-        view = RandomStream(self.seed, self.stream_id)
-        view.__dict__["_rng"] = np.random.Generator(jumped)
-        return view
+    def block(self, b: int) -> "RandomStream":
+        """Block b's stream, ``SeedSequence(seed, spawn_key=(stream_id, b))``: a function of
+        (seed, stream_id, b) alone, built without reading this stream's generator."""
+        return RandomStream(self.seed, self.stream_id, (*self.blocks, int(b)))
 
 
 def substream(seed: int, stream_id: int) -> RandomStream:

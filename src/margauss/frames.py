@@ -163,7 +163,7 @@ def frame_functionals(frame: Frame, geom=None) -> FrameFunctionals:
     if geom is not None:
         if geom.n != frame.n:
             raise ValueError(f"geometry dimension {geom.n} != frame dimension {frame.n}")
-        b = rows @ geom.vertices.T  # (k, n+1) inner products with unit vertices
+        b = geom.vertex_products(rows)  # (k, n+1) inner products with unit vertices
         quartic = float(np.sum(np.sqrt(np.sum(b**4, axis=1))))
         if frame.k == 1:
             cubic = float(np.sum(np.abs(b[0]) ** 3))

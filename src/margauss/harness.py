@@ -43,8 +43,9 @@ METRIC_CHOICES = ("w1", "ks", "tv")
 # The stream map: sweep row idx (its position in sort order) draws each role
 # from its own substream of the row's seed, 4·idx + ROW_STREAMS[role], except
 # the points: the rows of one (body, n, seed) group share one draw, from the
-# points stream 4·g + 2 of the group's first row g. Every subcommand that draws
-# reads row 0's streams, so its values are row 0's.
+# points stream 4·g + 2 of the group's first row g, block b of it from
+# `stream.block(b)`. Every subcommand that draws reads row 0's streams, so its
+# values are row 0's.
 ROW_STREAMS = {"frame": 0, "indices": 1, "points": 2, "directions": 3}
 
 
@@ -172,11 +173,11 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
 
     The rows of one (body, n, seed) group share one draw of the body
     (`_group_task`). Groups run concurrently, min(cores, groups) at a time
-    (`stein._cores`, which also sets the tile threads of a product pass; with
-    one core they run serially, with no pool). Peak memory is that of the
+    (`stein._cores`, which also sets the block threads of a group's pass;
+    with one core they run serially, with no pool). Peak memory is that of the
     groups in flight: a group holds, for each of its rows, W (N, k) and, with
     pair terms, the (N,) arrays frob, cubes and cond_second and the N symmetry
-    indices, plus one tile of points per thread, during its pass; after the
+    indices, plus one block of points per thread, during its pass; after the
     pass, each row's W until that row is done. Every value is that of a
     serial run, and the rows' warnings are logged here in row order, as a
     serial run logs them. A ValueError skips the rows it arises in; any other

@@ -53,8 +53,6 @@ BOUND_SOURCES = (
     "prop-cm-d2",
 )
 
-# Elements of one row-pass or check tile (1 MiB of float64), sized to stay in L2 cache.
-_TILE_BUDGET = 131_072
 # Draws a row needs before its pair terms, and so its semi-empirical bounds, are estimated.
 PAIR_TERM_MIN_COUNT = 10_000
 
@@ -89,7 +87,7 @@ class PairSpec:
     def alpha(self) -> np.ndarray:
         """theta (k, n) for a product body; alpha_ia = <theta_i, v_a> (k, n+1) for the simplex."""
         rows = self.frame.rows
-        return rows @ self.body.geom.vertices.T if self.body.kind == "simplex" else rows
+        return self.body.geom.vertex_products(rows) if self.body.kind == "simplex" else rows
 
     @cached_property
     def products(self) -> np.ndarray:
@@ -138,7 +136,7 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
     whole batch is checked in one pass; beyond x and the (k*k, m)
     `spec.products`, memory is O(c k n) for a product body and
-    O(c (n + k*k)) for the simplex, so `check_pairs` passes one tile at a time.
+    O(c (n + k*k)) for the simplex, so `check_pairs` passes a block in tiles.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = spec.frame.rows
@@ -179,31 +177,33 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
 
 
 def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> ConditionalResiduals:
-    """`conditional_checks` on `count` points of `stream`, drawn a tile at a time.
+    """`conditional_checks` on `count` points of `stream`, drawn a whole block at a time.
 
-    A product tile's (c, k, n) reflection increments fit in `_TILE_BUDGET`; a simplex
-    tile's (c, n+1) gamma and one vertex's (c, n+1) differences fit together, and so do
-    its (c, k*k) sums. Product-uniform and product-laplace tiles run on every CPU
-    (`_split`); each point is the one a serial draw gives. A residual is the worst over
-    all points, NaN if any point gives NaN.
+    The blocks are split over the CPUs (`_split`); each is checked in tiles
+    that fit in its 1 MiB: a product tile's (c, k, n) reflection increments, a
+    simplex tile's (c, n+1) gamma and one vertex's (c, n+1) differences, and
+    its (c, k*k) sums. A residual is the worst over all points, NaN if any
+    point gives NaN.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    k, n = spec.k, spec.n
-    width = max(2 * (n + 1), k * k) if spec.body.kind == "simplex" else k * n
-    tile = min(count, max(1, _TILE_BUDGET // width))
+    k, n, block = spec.k, spec.n, spec.body.block
+    m = n + 1 if spec.body.kind == "simplex" else n
+    width = max(2 * m, k * k) if spec.body.kind == "simplex" else k * n
+    tile = max(1, block * m // width)
     spec.products  # built, like spec.alpha, before any worker thread starts
 
-    def tiles(lo: int, hi: int, stream: RandomStream) -> list:
-        buf = np.empty((tile, n))  # one reused buffer per thread
+    def blocks(lo: int, hi: int) -> list:
+        buf = np.empty((block, n))  # one reused block per thread
         residuals = []
-        for start in range(lo, hi, tile):
-            pts = buf[: hi - start]  # the last tile may be short
-            sample_body(spec.body, stream, len(pts), out=pts)
-            residuals.append(astuple(conditional_checks(pts, spec)))
+        for start in range(lo, hi, block):
+            sample_body(spec.body, stream, block, out=buf, first_block=start // block)
+            pts = buf[: hi - start]  # the last block may be used in part
+            for first in range(0, len(pts), tile):
+                residuals.append(astuple(conditional_checks(pts[first:first + tile], spec)))
         return residuals
 
-    worst = np.max(np.concatenate(_split(spec.body, count, tile, stream, tiles)), axis=0)
+    worst = np.max(np.concatenate(_split(count, block, blocks)), axis=0)
     return ConditionalResiduals(float(worst[0]), float(worst[1]))
 
 
@@ -235,26 +235,25 @@ def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cores() -> int:
-    """CPUs this process may run on: the most sweep rows, and tile threads, run at once."""
+    """CPUs this process may run on: the most sweep groups, and block threads, run at once."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _split(body: BodySpec, count: int, tile: int, stream: RandomStream, run) -> list:
-    """`run(lo, hi, stream)` on ranges of whole tiles of rows 0..count, in range order.
+def _split(count: int, block: int, run) -> list:
+    """`run(lo, hi)` on contiguous ranges of whole blocks of rows 0..count, in range order.
 
-    A body reading one uniform per coordinate gets one range per CPU, drawn from a view
-    of `stream` jumped to its first element, so every tile is the one a serial pass draws.
-    The first range, or the only one, runs on the calling thread.
+    min(cores, blocks) ranges, the first on the calling thread. Each block is
+    drawn from its own stream (`RandomStream.block`), so every value is the
+    one a serial pass gives, at any number of threads.
     """
-    n_tiles = -(-count // tile)
-    workers = min(_cores(), n_tiles) if body.one_uniform_per_coordinate else 1
-    bounds = [tile * (n_tiles * i // workers) for i in range(workers)] + [count]
+    blocks = -(-count // block)
+    workers = min(_cores(), blocks)
+    bounds = [block * (blocks * i // workers) for i in range(workers)] + [count]
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts a thread per submit only
-        futures = [pool.submit(run, lo, hi, stream.ahead(lo * body.n))
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        return [run(0, bounds[1], stream)] + [future.result() for future in futures]
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        return [run(0, bounds[1])] + [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,8 @@ class _RowTerms:
         self.cubes = np.empty(count)
         self.cond_second = np.empty(count) if spec.k == 1 else None
 
-    def project_tile(self, pts: np.ndarray, part: slice) -> None:
-        """Write W of a tile and, with pair terms, its cube terms; pts is still unsquared."""
+    def project_block(self, pts: np.ndarray, part: slice) -> None:
+        """Write W of a block and, with pair terms, its cube terms; pts is still unsquared."""
         spec = self.spec
         simplex = spec.body.kind == "simplex"
         self.w[part] = vertex_projection(pts, spec.alpha) if simplex else project(spec.frame, pts)
@@ -324,15 +323,19 @@ class _RowTerms:
             ti = self.idx[part]
             self.cubes[part] = 8.0 * np.abs(pts[r, ti]) ** 3 * self.coord_norm3[ti]
 
-    def reduce_tile(self, sq: np.ndarray, part: slice, norm2, out: np.ndarray) -> None:
-        """Reduce a tile's squared coordinates to E_ij (`_moment_sums`), in `out` (t, k*k)."""
+    def reduce_block(self, sq: np.ndarray, start: int, norm2, out: np.ndarray) -> None:
+        """E_ij of a block's squares (rows start..), reduced t rows at a time in `out` (t, k*k)."""
         n, k = self.spec.n, self.spec.k
-        e = _moment_sums(self.spec, sq, self.w[part], norm2, out=out)
-        if self.cond_second is not None:
-            self.cond_second[part] = (4.0 / n) * e[:, 0]
-        e[:, :: k + 1] -= 1.0  # E_ij = (4/n) (s - delta_ij), formed in place
-        e *= 4.0 / n
-        self.frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
+        for lo in range(0, len(sq), len(out)):
+            hi = min(lo + len(out), len(sq))
+            part = slice(start + lo, start + hi)
+            e = _moment_sums(self.spec, sq[lo:hi], self.w[part],
+                             None if norm2 is None else norm2[lo:hi], out=out[: hi - lo])
+            if self.cond_second is not None:
+                self.cond_second[part] = (4.0 / n) * e[:, 0]
+            e[:, :: k + 1] -= 1.0  # E_ij = (4/n) (s - delta_ij), formed in place
+            e *= 4.0 / n
+            self.frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
 
     def result(self) -> tuple[np.ndarray, Optional[PairStatistics]]:
         if not self.pairs:
@@ -365,24 +368,15 @@ def group_pass(
     """One pass over `count` draws of one body, shared by specs of several frames.
 
     Returns W (count, k) for each spec and, where its entry of `indices` is a
-    stream, its pair terms. Every spec has the body of the first. The points
-    are drawn once, in tiles of about `_TILE_BUDGET` elements, a multiple of 4
-    rows, into one reused buffer, and `stream` carries the points alone: a
-    spec's symmetry indices come from its own stream, so W does not depend on
-    whether the pair terms are computed. While a tile is in cache, each spec
-    projects it into its W and takes its cube terms; then the tile is squared
-    in place once, and each spec reduces it to E_ij by `_moment_sums`, the
-    closed form that `conditional_checks` verifies. A spec's values are those
-    of a pass with its frame alone in tiles of the same size.
-
-    The tile is sized by the widest spec: width max(m, k*k) over the specs,
-    with m = n, or n + 1 for the simplex. Product tiles read the stream
-    exactly as one draw of all `count` points would; lp-ball draws take three
-    arrays, so their values depend on the tile size. Product-uniform and
-    product-laplace tiles run on every CPU (`_split`), and every value is that
-    of one serial pass. The pass is the only reader of `stream` and leaves it
-    at no defined position. Memory is O(tile * width * threads) plus, for each
-    spec, O(count * k + k*k * m) and with pair terms four (count,) arrays.
+    stream, its pair terms. Every spec has the body of the first. The body's
+    blocks (`sample_body`) are split over the CPUs (`_split`) and drawn into
+    one buffer per thread; `stream` carries the points alone. While a block
+    is in cache, each spec projects it into its W and takes its cube terms;
+    then the block is squared in place once, and each spec reduces it to E_ij
+    by `_moment_sums` in tiles whose (t, k*k) sums fit in 1 MiB. So a spec's
+    values depend on its body, frame, `count` and streams alone. Memory is one
+    block and its sums per thread plus, for each spec, O(count * k + k*k * m)
+    and with pair terms four (count,) arrays.
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij from the edge-sum
@@ -401,36 +395,33 @@ def group_pass(
     rows = [_RowTerms(spec, count, ix) for spec, ix in zip(specs, indices, strict=True)]
     pairs = [row for row in rows if row.pairs]
     simplex = body.kind == "simplex"
-    n = body.n
+    n, block = body.n, body.block
     m = n + 1 if simplex else n  # gamma holds one coordinate per simplex vertex
-    width = max(m, max(spec.k for spec in specs) ** 2)  # the body buffer and the sums
-    # Tiles hold a multiple of 4 rows: BLAS matrix-vector kernels take rows in
-    # groups of four and round an operand's last 1-3 rows differently, so
-    # aligned tiles give k = 1 the bits of one single-threaded product over
-    # all the rows.
-    tile = min(count, max(4, _TILE_BUDGET // width // 4 * 4))
+    # Blocks and tiles hold a multiple of 4 rows: BLAS matrix-vector kernels
+    # take rows in groups of four and round an operand's last 1-3 rows
+    # differently, so a row's bits do not depend on where a tile starts.
+    tiles = {k: min(block, max(4, block * m // k**2 // 4 * 4)) for k in {r.spec.k for r in pairs}}
 
-    def tiles(lo: int, hi: int, stream: RandomStream) -> None:
-        """Draw rows lo..hi tile by tile and write every spec's W and pair terms."""
-        buf = np.empty((tile, m))  # the tile's points, or gamma for the simplex
-        sums = {k: np.empty((tile, k * k)) for k in {row.spec.k for row in pairs}}
-        for start in range(lo, hi, tile):
-            pts = buf[: min(tile, hi - start)]
-            part = slice(start, start + len(pts))
+    def blocks(lo: int, hi: int) -> None:
+        """Draw the blocks of rows lo..hi and write every spec's W and pair terms."""
+        buf = np.empty((block, m))  # one block's points, or gamma for the simplex
+        sums = {k: np.empty((t, k * k)) for k, t in tiles.items()}
+        for start in range(lo, hi, block):
             if simplex:
-                simplex_vertex_coords(body.geom, stream, len(pts), out=pts)
+                simplex_vertex_coords(body.geom, stream.block(start // block), buf)
             else:
-                sample_body(body, stream, len(pts), out=pts)
+                sample_body(body, stream, block, out=buf, first_block=start // block)
+            pts = buf[: hi - start]  # the last block may be used in part
             for row in rows:
-                row.project_tile(pts, part)
+                row.project_block(pts, slice(start, start + len(pts)))
             if not pairs:
                 continue
             norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts) if simplex else None
             np.square(pts, out=pts)
             for row in pairs:
-                row.reduce_tile(pts, part, norm2, sums[row.spec.k][: len(pts)])
+                row.reduce_block(pts, start, norm2, sums[row.spec.k])
 
-    _split(body, count, tile, stream, tiles)
+    _split(count, block, blocks)
     return [row.result() for row in rows]
 
 

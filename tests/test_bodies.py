@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from margauss import bodies
 from margauss.bodies import (
     BodySpec,
     SampleBatch,
@@ -273,25 +274,60 @@ def test_sample_body_fills_out_in_place(kind):
         sample_body(spec, substream(35, 0), 39, out=out)
 
 
-def test_laplace_draw_is_chunk_invariant():
+def test_laplace_draw_is_chunk_invariant(monkeypatch):
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 600)  # blocks of 100 points at n = 6
     spec = BodySpec("product-laplace", 6)
     whole = sample_body(spec, substream(36, 0), 1_000).points
     stream = substream(36, 0)
-    parts = [sample_body(spec, stream, c).points for c in (377, 623)]
+    parts = [sample_body(spec, stream, c, first_block=b).points for c, b in ((300, 0), (700, 3))]
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+@pytest.mark.parametrize(
+    "kind", ["product-uniform", "product-gaussian", "product-laplace", "lp-ball(1.5)", "simplex"]
+)
+def test_points_depend_on_their_position_alone(kind, monkeypatch):
+    # Blocks of 8 points at n = 8 (n + 1 = 9 coordinates for the simplex). A
+    # draw that ends inside a block, or starts at a later block, gives the
+    # points of one draw of them all.
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 80)
+    spec = parse_body_kind(kind, 8)
+    assert spec.block == 8
+    whole = sample_body(spec, substream(40, 2), 37).points
+    assert np.array_equal(sample_body(spec, substream(40, 2), 5).points, whole[:5])
+    assert np.array_equal(sample_body(spec, substream(40, 2), 13, first_block=3).points,
+                          whole[24:])
+    # Draws from the stream itself change no block.
+    stream = substream(40, 2)
+    stream.uniform(3)
+    assert np.array_equal(sample_body(spec, stream, 8, first_block=1).points, whole[8:16])
+
+
+@pytest.mark.parametrize("n, block", [(1, 131_072), (16, 8_192), (1023, 128), (1024, 128),
+                                      (40_000, 4)])
+def test_block_size_follows_the_body_alone(n, block):
+    assert BodySpec("product-gaussian", n).block == block
+    assert BodySpec("lp-ball", n, 1.5).block == block
+    # The simplex holds n + 1 vertex coordinates per point.
+    assert BodySpec("simplex", n + 1).block == max(4, 131_072 // (n + 2) // 4 * 4)
+
+
 class _FixedUniforms:
-    """A stream whose uniform draw returns fixed values."""
+    """A stream whose blocks draw fixed uniforms in order: a block of s values
+    takes the next s of `values`, and zeros past their end."""
 
     seed = stream_id = 0
 
-    def __init__(self, values):
-        self.values = np.array(values, dtype=np.float64)
+    def __init__(self, values, b=0):
+        self.values, self.b = np.array(values, dtype=np.float64), b
 
-    def uniform(self, size, out=None):
-        out = np.empty(size) if out is None else out
-        out[...] = self.values.reshape(size)
+    def block(self, b):
+        return _FixedUniforms(self.values, b)
+
+    def uniform(self, size=None, out=None):
+        chunk = self.values[self.b * out.size:(self.b + 1) * out.size]
+        out[...] = 0.0
+        out.reshape(-1)[: len(chunk)] = chunk
         return out
 
 
@@ -334,5 +370,5 @@ def test_uniform_draw_matches_three_step_form_bit_for_bit():
     pts = sample_body(BodySpec("product-uniform", 1), _FixedUniforms(u), len(u)).points[:, 0]
     assert np.array_equal(pts.view(np.uint64), reference.view(np.uint64))
     drawn = sample_body(BodySpec("product-uniform", 8), substream(39, 1), 1_000).points
-    reference = (2.0 * substream(39, 1).uniform((1_000, 8)) - 1.0) * math.sqrt(3.0)
+    reference = (2.0 * substream(39, 1).block(0).uniform((1_000, 8)) - 1.0) * math.sqrt(3.0)
     assert np.array_equal(drawn.view(np.uint64), reference.view(np.uint64))

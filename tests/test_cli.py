@@ -72,9 +72,9 @@ def test_verify_pair_passes(capsys):
 
 def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
     # Python's max(0.0, nan) is 0.0, so a NaN residual must not be reduced with it:
-    # 9 points are drawn as 3 tiles of 3 (n = 8, k = 2), and only the middle one has NaN.
-    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 2 * 8)
-    monkeypatch.setattr(stein, "_cores", lambda: 1)  # draw the tiles in order
+    # 9 points are drawn as 3 whole blocks of 4 (n = 8), and only the middle one has NaN.
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 4 * 8)
+    monkeypatch.setattr(stein, "_cores", lambda: 1)  # draw the blocks in order
     draw = stein.sample_body
     tiles = []
 
@@ -90,16 +90,16 @@ def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
         capsys, "verify", "pair", "--body", "product-uniform", "--n", "8", "--k", "2",
         "--frame", "haar", "--samples", "9", "--seed", "3",
     )
-    assert tiles == [3, 3, 3]
+    assert tiles == [4, 4, 4]
     assert code == 1
     assert "linearity_residual=nan" in out and "second_moment_residual=nan" in out
     assert "FAIL" in out
 
 
 def test_verify_pair_fails_on_a_nan_in_a_worker_tile(capsys, monkeypatch):
-    # 9 points in tiles of 3 on two cores: the calling thread checks the first
-    # tile and a worker the other two, one of which has a NaN.
-    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 2 * 8)
+    # 9 points in blocks of 4 on two cores: the calling thread checks the first
+    # block and a worker the other two, the first of which gets a NaN.
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 4 * 8)
     monkeypatch.setattr(stein, "_cores", lambda: 2)
     draw = stein.sample_body
     poisoned = []
@@ -122,12 +122,15 @@ def test_verify_pair_fails_on_a_nan_in_a_worker_tile(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("body", ["product-uniform", "product-laplace", "simplex"])
+@pytest.mark.parametrize(
+    "body", ["product-uniform", "product-laplace", "simplex", "product-gaussian", "lp-ball(1.5)"]
+)
 def test_verify_pair_output_does_not_depend_on_core_count(body, capsys, monkeypatch):
-    # Tiles of 3 product points (2 simplex points) at n = 8, k = 2: 10 points are
-    # 4 tiles, the last short, so three cores split them as 3 + 3 + 4 points.
-    # A product worker must check the very points a serial draw gives there.
-    monkeypatch.setattr(stein, "_TILE_BUDGET", 3 * 2 * 8)
+    # Blocks of 4 points at n = 8 (n + 1 = 9 coordinates for the simplex), each
+    # checked in tiles of 2 at k = 2: 10 points are 3 blocks, the last used in
+    # part, so three cores take one block each. Every body splits its blocks,
+    # and a worker must check the very points a serial draw gives there.
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 4 * 9)
     check = stein.conditional_checks
     checked = []
 
@@ -146,16 +149,15 @@ def test_verify_pair_output_does_not_depend_on_core_count(body, capsys, monkeypa
         )
         assert code == 0 and "PASS" in out
         off_main = any(thread is not threading.main_thread() for thread, _ in checked)
-        assert off_main == (body != "simplex" and cores > 1)
+        assert off_main == (cores > 1)
         runs.append((out, sorted(pts.tobytes() for _, pts in checked)))
         if cores == 1:
             points = np.concatenate([pts for _, pts in checked])
     for out, tiles in runs[1:]:
         assert out == runs[0][0]
         assert tiles == runs[0][1]
-    if body != "simplex":  # product draws in pieces equal one draw
-        spec = bodies.parse_body_kind(body, 8)
-        assert np.array_equal(points, bodies.sample_body(spec, row_stream(6, 0, "points"), 10).points)
+    spec = bodies.parse_body_kind(body, 8)
+    assert np.array_equal(points, bodies.sample_body(spec, row_stream(6, 0, "points"), 10).points)
 
 
 def test_verify_pair_worker_error_reaches_the_caller(monkeypatch):
@@ -314,33 +316,43 @@ def test_distance_samples_apart_from_the_frame_stream(capsys, monkeypatch):
     frame_rows = substream(5, 0).normal((2, 8))
     first_point = drawn[0][0]
     assert not np.array_equal(first_point, frame_rows[0])
-    assert np.array_equal(first_point, substream(5, 2).normal(8))
+    assert np.array_equal(first_point, substream(5, 2).block(0).normal(8))
 
 
-@pytest.mark.parametrize("body", ["product-uniform", "product-gaussian"])
+@pytest.mark.parametrize("body", ["product-uniform", "product-gaussian", "lp-ball(1.5)",
+                                  "simplex"])
 def test_subcommands_follow_the_stream_map(tmp_path, capsys, monkeypatch, body):
     # Each subcommand reads sweep row 0's streams: the Haar frame from stream
     # 0, the points from stream 2. `sample` writes the first points of the
-    # stream whose points `distance` and the sweep project.
+    # stream whose points `verify pair` checks and `distance` and the sweep
+    # project; its 30 points span four blocks of 8 (eight of 4 for the simplex).
     from margauss import frames, harness, stein
 
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 128)
+    monkeypatch.setattr(stein, "_cores", lambda: 1)  # the checked tiles come in order
     seed, n, k, count = 6, 16, 2, 30
-    built, drawn = [], []
+    built, checked, projected = [], [], []
+    build_frame, check, group_pass = frames.build_frame, stein.conditional_checks, stein.group_pass
 
-    def recording(fn, into, field):
-        def wrapped(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            into.append(getattr(result, field).copy())
-            return result
+    def build(*args):
+        frame = build_frame(*args)
+        built.append(frame.rows)
+        return frame
 
-        return wrapped
+    def record_check(pts, spec):
+        checked.append(pts.copy())
+        return check(pts, spec)
 
-    build = recording(frames.build_frame, built, "rows")
-    sample = recording(bodies.sample_body, drawn, "points")
+    def record_pass(specs, *args):
+        results = group_pass(specs, *args)
+        projected.append(results[0][0])
+        return results
+
     for module in (frames, harness):
         monkeypatch.setattr(module, "build_frame", build)
-    for module in (bodies, stein):
-        monkeypatch.setattr(module, "sample_body", sample)
+    monkeypatch.setattr(stein, "conditional_checks", record_check)
+    for module in (stein, harness):
+        monkeypatch.setattr(module, "group_pass", record_pass)
     marginal = ["--body", body, "--n", str(n), "--k", str(k), "--frame", "haar",
                 "--seed", str(seed)]
     assert main(["frames", "--kind", "haar", "--n", str(n), "--k", str(k),
@@ -359,11 +371,13 @@ def test_subcommands_follow_the_stream_map(tmp_path, capsys, monkeypatch, body):
     assert len(built) == 5  # frames, bounds, verify pair, distance, the sweep row
     for rows in built:
         assert np.array_equal(rows, built[-1])
-    verify_points, distance_points, row_points, _ = drawn  # the last is `sample`'s own
-    assert len(distance_points) == len(row_points) == 1000
-    assert np.array_equal(distance_points, row_points)
-    assert np.array_equal(np.loadtxt(out, delimiter=","), row_points[:count])
-    assert np.array_equal(verify_points, row_points[:5])
+    points = np.loadtxt(out, delimiter=",")
+    assert points.shape == (count, n)
+    assert np.array_equal(np.concatenate(checked), points[:5])
+    distance_w, row_w = projected
+    assert np.array_equal(distance_w, row_w)
+    w = points @ built[-1].T
+    assert np.max(np.abs(row_w[:count] - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 @pytest.mark.parametrize("value", ["-1", str(2**64)])
@@ -702,10 +716,9 @@ def test_cli_runs_on_numpy_alone(tmp_path):
 def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
     # Groups of rows run on one thread per CPU: each (body, n, seed) group holds
     # the k = 1 and k = 2 rows, which share one draw, and the two seeds interleave
-    # the groups' rows in sort order. Product-gaussian, lp-ball and simplex
-    # groups run each whole on one thread, product-uniform groups with their
-    # tiles split again. At one and at two BLAS threads, a run patched to one
-    # core (no group pool, no tile split) must write the bytes of a run at the default.
+    # the groups' rows in sort order. Every group splits its blocks again. At one
+    # and at two BLAS threads, a run patched to one core (no group pool, no block
+    # split) must write the bytes of a run at the default.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform", "product-gaussian", "lp-ball(1.5)", "simplex"],
@@ -728,11 +741,33 @@ def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
         assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
+def test_csv_does_not_depend_on_blas_threads(tmp_path):
+    # A threaded OpenBLAS matrix-vector product splits its sums between
+    # threads and rounds them differently. The simplex's vertex products
+    # alpha = theta V^T, which every simplex value reads, are computed outside
+    # the BLAS, so a child at two BLAS threads writes the bytes of one at one.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["simplex", "lp-ball(1.5)"], "ns": [1024], "ks": [1],
+        "frames": ["haar", "walsh"], "samples": 30_000, "seeds": [5], "metrics": ["w1", "ks", "tv"],
+    }))
+    outs = [tmp_path / f"rows{blas_threads}.csv" for blas_threads in (1, 2)]
+    for blas_threads, out in zip((1, 2), outs):
+        result = run_under_address_limit(
+            f"sys.exit(main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]))\n",
+            2.5,
+            blas_threads=blas_threads,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+    assert len(read_result_csv(outs[0])) == 4
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
 def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
-    # Product-uniform and product-laplace groups run their tiles on one thread
-    # per CPU, and OpenBLAS (itself at two threads here) is then called from
-    # two threads at once. Each group's pass serves two ks and two frames. Two
-    # runs and a run patched to one worker must write the same bytes.
+    # Groups run their blocks on one thread per CPU, and OpenBLAS (itself at
+    # two threads here) is then called from two threads at once. Each group's
+    # pass serves two ks and two frames. Two runs and a run patched to one
+    # worker must write the same bytes.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform", "product-laplace"], "ns": [256, 1024], "ks": [1, 2],

@@ -2,6 +2,7 @@ import json
 import logging
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,16 +255,19 @@ def test_simplex_rows_carry_quartic():
 
 
 def test_metrics_sample_stitched_across_chunks():
-    n, count, chunk = 1024, 30_000, 12_207
+    n, count = 1024, 30_000
+    body = BodySpec("product-uniform", n)
+    chunk = 95 * body.block
     row = run_experiment(small_config(ns=(n,), samples=count))[0]
-    # Replay the row's points stream in three pieces that cut across the row
-    # pass's 128-point tiles; the reflection indices come from another stream,
-    # so the points stream holds points alone.
+    # Replay the row's points stream in three pieces of whole 128-point blocks,
+    # which cut across the ranges the row pass splits between threads; the
+    # reflection indices come from another stream, so the points stream holds
+    # points alone.
     stream = substream(1, 2)
     parts = []
     for start in range(0, count, chunk):
         c = min(chunk, count - start)
-        pts = sample_body(BodySpec("product-uniform", n), stream, c).points
+        pts = sample_body(body, stream, c, first_block=start // body.block).points
         parts.append(project(walsh_frame(n, 1), pts))
     full = w1_1d(np.concatenate(parts)[:, 0])
     assert row.N == count
@@ -305,7 +309,31 @@ def test_row_draws_each_body_element_once(body, n, ks, frames, monkeypatch):
     rows = run_experiment(config)
     assert len(rows) == len(ks) * len(frames)
     assert all(row.emp_w1 is not None and row.bound_d1_cor is not None for row in rows)
-    assert sum(drawn) == count * n
+    block = BodySpec(body, n).block  # the last block is drawn whole
+    assert sum(drawn) == -(-count // block) * block * n
+
+
+@pytest.mark.parametrize(
+    "body", ["product-uniform", "product-gaussian", "product-laplace", "lp-ball(1.5)", "simplex"]
+)
+def test_rows_do_not_depend_on_cores_or_group_makeup(body, monkeypatch, tmp_path):
+    # A row is a function of its body, frame, N and streams alone. N = 3e4
+    # spans four blocks at n = 16, which 1, 2 and 3 cores split differently;
+    # and a k = 5 row, whose k*k = 25 sums outgrow a point's coordinates, may
+    # join the group of the k = 1 rows (rows 0 and 1 either way).
+    config = small_config(bodies=(body,), ns=(16,), frames=("haar", "walsh"), samples=30_000,
+                          metrics=("w1", "ks", "tv"))
+    outs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        outs.append(tmp_path / f"cores{cores}.csv")
+        emit_csv(run_experiment(config), outs[-1])
+    wider = [row for row in run_experiment(replace(config, ks=(1, 5))) if row.k == 1]
+    outs.append(tmp_path / "wider.csv")
+    emit_csv(wider, outs[-1])
+    assert len(read_result_csv(outs[0])) == 2
+    for out in outs[1:]:
+        assert out.read_bytes() == outs[0].read_bytes()
 
 
 @pytest.mark.parametrize("body", ["product-uniform", "product-laplace", "simplex"])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from margauss import stein
+from margauss import bodies, stein
 from margauss.bodies import BodySpec, parse_body_kind, regular_simplex, sample_body
-from margauss.core import ConstantsConfig, substream
+from margauss.core import ConstantsConfig, batch_mean_se, substream
 from margauss.frames import (
     Frame,
     coordinate_frame,
@@ -428,7 +428,7 @@ def test_simplex_pair_terms_match_edge_enumeration(n, k):
 
 @pytest.mark.parametrize("n,k", [(16, 1), (300, 3)])
 def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
-    monkeypatch.setattr(stein, "_TILE_BUDGET", 1_700 * (n + 1))  # three tiles
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 1_700 * (n + 1))  # three blocks
     spec = make_spec("simplex", n, k, seed=55)
     w, stats = row_pass(spec, 5_000, substream(56, n))
     pts = sample_body(spec.body, substream(56, n), 5_000).points
@@ -441,27 +441,27 @@ def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
 )
 @pytest.mark.parametrize("k", [1, 3])
 def test_row_pass_tiles_leave_results_unchanged(kind, k, monkeypatch):
-    n, count = 16, 10_000
+    # Blocks of 4, 12 and 4 000 points; 10 000 points end inside the last
+    # block of 12 and of 4 000. At n = 7 the k = 3 sums (k*k = 9 wide) outgrow
+    # a point, so the pass reduces blocks of 12 and 4 000 in smaller tiles.
+    # Each pass gives W and term_E of all its points at once.
+    n, count = 7, 10_000
     spec = make_spec(kind, n, k, seed=57)
-    width = max(n + (kind == "simplex"), k * k)
-    results = []
-    # The one-row budget gives the smallest tile, 4 rows; 13 rows round down to
-    # 12; 4000 rows leave a last tile of 2000.
-    for budget in (width, 13 * width, 4_000 * width):
-        monkeypatch.setattr(stein, "_TILE_BUDGET", budget)
+    simplex = kind == "simplex"
+    for block in (4, 12, 4_000):
+        monkeypatch.setattr(bodies, "_BLOCK_BUDGET", block * (n + simplex))
+        assert spec.body.block == block
         w, stats = row_pass(spec, count, substream(58, n + k), substream(58, 1000 + n + k))
         # The indices have their own stream, so W is the same without the pair terms.
         assert np.array_equal(row_pass(spec, count, substream(58, n + k))[0], w)
-        results.append((w, dataclasses.astuple(stats)))
-    (w0, stats0), rest = results[0], results[1:]
-    for w, stats in rest:
-        if k == 1:  # one-column products give every row the same bits in any tile
-            assert np.array_equal(w, w0)
-            assert stats == stats0
-        else:
-            assert np.max(np.abs(w - w0)) <= 1e-12 * np.max(np.abs(w0))
-            for value, ref in zip(stats, stats0):
-                assert value == pytest.approx(ref, rel=1e-12)
+        pts = sample_body(spec.body, substream(58, n + k), count).points
+        w_ref = project(spec.frame, pts)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+        norm2 = np.sum(pts**2, axis=1) if simplex else None
+        sq = (pts @ spec.body.geom.vertices.T) ** 2 if simplex else pts**2
+        e = (4.0 / n) * (stein._moment_sums(spec, sq, w_ref, norm2) - np.eye(k).ravel())
+        term_e = batch_mean_se(np.sqrt(np.sum(e**2, axis=1)))[0] / spec.lam
+        assert stats.term_E == pytest.approx(term_e, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["product-uniform", "product-laplace"])
@@ -469,10 +469,10 @@ def test_row_pass_tiles_leave_results_unchanged(kind, k, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2])
 def test_row_pass_values_do_not_depend_on_worker_count(kind, n, k, monkeypatch):
     spec = make_spec(kind, n, k, seed=59)
-    tile = stein._TILE_BUDGET // max(n, k * k) // 4 * 4
-    # Off the tile grid; and a row of two tiles, fewer than three workers.
-    cases = [(max(3 * tile, 10_000) + 37, True), (max(3 * tile, 10_000) + 37, False),
-             (tile + 5, False)]
+    block = spec.body.block
+    # Off the block grid; and a row of two blocks, fewer than three workers.
+    cases = [(max(3 * block, 10_000) + 37, True), (max(3 * block, 10_000) + 37, False),
+             (block + 5, False)]
     results = []
     for cores in (1, 2, 3):
         monkeypatch.setattr(stein, "_cores", lambda: cores)
