@@ -13,7 +13,9 @@ and the sha256 of its uncommitted changes to the code the benchmark runs,
 the BLAS thread counts its rounds reported, and for each workload the seeds,
 every run's metrics, and their medians and quartiles. It then prints, for
 each workload and metric, both medians, the pairs in which the after side
-reads lower, and the before side's quartile spread.
+reads lower, and the before side's quartile spread. It exits with status 1,
+after writing both files, if any run reads `correct: false` or `failed > 0`,
+and names each such run's workload, side and seed.
 """
 
 from __future__ import annotations
@@ -73,6 +75,14 @@ def compare(before: list[dict], after: list[dict]) -> dict:
             "before_iqr": b["q3"] - b["q1"],
         }
     return table
+
+
+def failures(runs: dict) -> list[str]:
+    """A line for each run, in runs[side][workload], that reads incorrect or failed."""
+    return [f"{workload} {side} seed={run['seed']}: correct={run['correct']} "
+            f"failed={run['failed']} of {run['attempted']}"
+            for side, workloads in runs.items() for workload, rs in workloads.items()
+            for run in rs if not run["correct"] or run["failed"] > 0]
 
 
 def checkout_state(root: str) -> tuple[str | None, str | None]:
@@ -153,7 +163,10 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {row['before_median']:.4g} -> {row['after_median']:.4g}, "
                   f"after lower in {row['after_lower']}/{row['pairs']} pairs, "
                   f"before IQR {row['before_iqr']:.3g}")
-    return 0
+    bad = failures(runs)
+    for line in bad:
+        print(f"failed run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Deterministic randomness and the configurable universal constants.
+"""Deterministic randomness, the split of work over the CPUs, and the
+configurable universal constants.
 
 Random streams are value-like: a (seed, stream_id) pair fully determines a
 draw sequence, and distinct stream ids give statistically independent
@@ -8,6 +9,7 @@ streams and merged deterministically in stream_id order.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -93,6 +95,31 @@ def substream(seed: int, stream_id: int) -> RandomStream:
     if not isinstance(stream_id, (int, np.integer)):
         raise ValueError(f"stream_id must be an integer, got {stream_id!r}")
     return RandomStream(check_seed(seed), int(stream_id))
+
+
+def _cores() -> int:
+    """CPUs this process may run on: the most threads `_split` runs at once."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(count: int, block: int, run) -> list:
+    """`run(lo, hi)` on contiguous ranges of whole blocks of rows 0..count, in range order.
+
+    min(cores, blocks) ranges, the first on the calling thread. The one rule
+    by which work is split over the CPUs: a group pass's and `check_pairs`'
+    blocks of points, each drawn from its own stream (`RandomStream.block`),
+    and `w1_sliced`'s blocks of directions. Each range writes its own part,
+    so every value is the one a serial run gives, at any number of threads.
+    """
+    blocks = -(-count // block)
+    workers = min(_cores(), blocks)
+    bounds = [block * (blocks * i // workers) for i in range(workers)] + [count]
+    # The pool starts a thread per submit only: workers - 1 threads.
+    with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        return [run(0, bounds[1])] + [future.result() for future in futures]
 
 
 def batch_mean_se(values: np.ndarray) -> tuple[float, float]:

@@ -15,9 +15,7 @@ import itertools
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -172,19 +170,17 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     would break that determinism.
 
     The rows of one (body, n, seed) group share one draw of the body
-    (`_group_task`). Groups run concurrently, min(cores, groups) at a time
-    (`stein._cores`, which also sets the block threads of a group's pass;
-    with one core they run serially, with no pool). Peak memory is that of the
-    groups in flight: a group holds, for each of its rows, W (N, k) and, with
-    pair terms, the (N,) arrays frob, cubes and cond_second and the N symmetry
-    indices, plus one block of points per thread, during its pass; after the
-    pass, each row's W until that row is done. Every value is that of a
-    serial run, and the rows' warnings are logged here in row order, as a
-    serial run logs them. A ValueError skips the rows it arises in; any other
-    exception reaches the caller, and the groups not yet started are
-    cancelled. runtime_ms is a row's own elapsed time plus that of its
-    group's shared pass, so the times of a group's rows overlap, and so do
-    those of groups in flight together.
+    (`_group_task`). The groups run one after another on the calling thread,
+    in the sort order of their first rows; each splits its pass, and its k
+    >= 2 rows split their sliced W1, over the CPUs (`core._split`). Peak
+    memory is that of one group: for each of its rows, W (N, k) and, with
+    pair terms, the (N,) arrays frob, cubes and cond_second and the N
+    symmetry indices, plus one block of points per thread, during its pass;
+    after the pass, each row's W until that row is done. When every group
+    has run, each row's warnings are logged in row order. A ValueError
+    skips the rows it arises in; any other exception reaches the caller.
+    runtime_ms is a row's own elapsed time plus that of its group's shared
+    pass, so the times of a group's rows overlap.
     """
     combos = sorted(
         itertools.product(config.bodies, config.ns, config.ks, config.frames, config.seeds)
@@ -193,27 +189,17 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     for idx, combo in enumerate(combos):
         body, n, _, _, seed = combo
         groups.setdefault((body, n, seed), []).append((idx, combo))
-    task = partial(_group_task, config, measure_runtime)
-    workers = min(stein._cores(), len(groups))
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
-        outcomes = [None] * len(combos)
-        rows, logged = [], 0
-        results = (pool.map if pool else map)(task, groups.values())
-        for group, group_results in zip(groups.values(), results):
-            for (idx, _), outcome in zip(group, group_results):
-                outcomes[idx] = outcome
-            while logged < len(outcomes) and outcomes[logged] is not None:
-                row, notes = outcomes[logged]
-                for note in notes:
-                    logger.warning(*note)
-                if row is not None:
-                    rows.append(row)
-                logged += 1
-        return rows
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    outcomes = [None] * len(combos)  # the seeds interleave the groups' rows
+    for group in groups.values():
+        for (idx, _), outcome in zip(group, _group_task(config, measure_runtime, group)):
+            outcomes[idx] = outcome
+    rows = []
+    for row, notes in outcomes:
+        for note in notes:
+            logger.warning(*note)
+        if row is not None:
+            rows.append(row)
+    return rows
 
 
 class _RowSetup(NamedTuple):

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import BATCHES, RandomStream
+from .core import BATCHES, RandomStream, _split
 
 MATCHING_CAP = 2048
 
@@ -256,9 +256,10 @@ def _gaussian_quantiles(n: int) -> np.ndarray:
     """Phi^{-1}((i - 1/2)/n) for i = 1..n, read-only, computed once per n.
 
     The cache is keyed on `norm` as well, so a stand-in for it (a counting
-    wrapper, say) computes its own grids. Sweep rows run on threads; the
-    lock makes a row that needs a grid another row is computing wait for it
-    rather than compute it again.
+    wrapper, say) computes its own grids. The estimators may be called from
+    several threads at once (a sweep runs one group at a time, but a caller
+    of the library need not); the lock makes a caller that needs a grid
+    another thread is computing wait for it rather than compute it again.
     """
     with _GRID_LOCK:
         return _quantile_grid(norm, n)
@@ -344,9 +345,10 @@ def w1_sliced(samples: np.ndarray, stream: RandomStream) -> DistanceEstimate:
 
     A lower-bound proxy for the k-dimensional W1 distance to the standard
     Gaussian (projections are 1-Lipschitz); SE is across directions.
-    Directions are projected, sorted and compared four at a time in one
-    reused (4, N) buffer: beyond the samples, the working memory is that
-    buffer and the N Gaussian quantiles.
+    Directions are projected, sorted and compared four at a time, their
+    blocks split over the CPUs (`_split`) with one reused (4, N) buffer per
+    thread: beyond the samples, the working memory is those buffers and the
+    N Gaussian quantiles.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
@@ -356,13 +358,17 @@ def w1_sliced(samples: np.ndarray, stream: RandomStream) -> DistanceEstimate:
     dirs = stream.normal((SLICED_DIRECTIONS, k))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     quantiles = _gaussian_quantiles(n)
-    block = np.empty((_SLICED_BLOCK, n))  # each sort runs along a contiguous row
     per_dir = np.empty(SLICED_DIRECTIONS)
-    for lo in range(0, SLICED_DIRECTIONS, _SLICED_BLOCK):
-        np.matmul(dirs[lo : lo + _SLICED_BLOCK], samples.T, out=block)
-        block.sort(axis=1)
-        block -= quantiles
-        per_dir[lo : lo + _SLICED_BLOCK] = np.abs(block, out=block).mean(axis=1)
+
+    def run(first: int, last: int) -> None:
+        block = np.empty((_SLICED_BLOCK, n))  # each sort runs along a contiguous row
+        for lo in range(first, last, _SLICED_BLOCK):
+            np.matmul(dirs[lo : lo + _SLICED_BLOCK], samples.T, out=block)
+            block.sort(axis=1)
+            block -= quantiles
+            per_dir[lo : lo + _SLICED_BLOCK] = np.abs(block, out=block).mean(axis=1)
+
+    _split(SLICED_DIRECTIONS, _SLICED_BLOCK, run)
     se = float(per_dir.std(ddof=1) / math.sqrt(SLICED_DIRECTIONS))
     return DistanceEstimate(
         metric="w1-sliced", value=float(per_dir.mean()), se_or_bias_note=se, count=n, k=k

@@ -26,8 +26,6 @@ form of E_ij, `_moment_sums`, which `group_pass` and `conditional_checks` both c
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Optional
@@ -41,7 +39,7 @@ from .bodies import (
     simplex_vertex_coords,
     vertex_projection,
 )
-from .core import ConstantsConfig, RandomStream, batch_mean_se, batch_var_se
+from .core import ConstantsConfig, RandomStream, _split, batch_mean_se, batch_var_se
 from .frames import Frame, frame_functionals, project
 
 BOUND_SOURCES = (
@@ -234,28 +232,6 @@ def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return row, index - starts[row] + row + 1
 
 
-def _cores() -> int:
-    """CPUs this process may run on: the most sweep groups, and block threads, run at once."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _split(count: int, block: int, run) -> list:
-    """`run(lo, hi)` on contiguous ranges of whole blocks of rows 0..count, in range order.
-
-    min(cores, blocks) ranges, the first on the calling thread. Each block is
-    drawn from its own stream (`RandomStream.block`), so every value is the
-    one a serial pass gives, at any number of threads.
-    """
-    blocks = -(-count // block)
-    workers = min(_cores(), blocks)
-    bounds = [block * (blocks * i // workers) for i in range(workers)] + [count]
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts a thread per submit only
-        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        return [run(0, bounds[1])] + [future.result() for future in futures]
-
-
 @dataclass(frozen=True)
 class PairStatistics:
     """Monte-Carlo estimates of the pair terms feeding the semi-empirical bounds.
@@ -370,13 +346,14 @@ def group_pass(
     Returns W (count, k) for each spec and, where its entry of `indices` is a
     stream, its pair terms. Every spec has the body of the first. The body's
     blocks (`sample_body`) are split over the CPUs (`_split`) and drawn into
-    one buffer per thread; `stream` carries the points alone. While a block
-    is in cache, each spec projects it into its W and takes its cube terms;
-    then the block is squared in place once, and each spec reduces it to E_ij
-    by `_moment_sums` in tiles whose (t, k*k) sums fit in 1 MiB. So a spec's
-    values depend on its body, frame, `count` and streams alone. Memory is one
-    block and its sums per thread plus, for each spec, O(count * k + k*k * m)
-    and with pair terms four (count,) arrays.
+    one buffer per thread; a sweep runs one group pass at a time, so these
+    are all the threads that draw. `stream` carries the points alone. While
+    a block is in cache, each spec projects it into its W and takes its cube
+    terms; then the block is squared in place once, and each spec reduces it
+    to E_ij by `_moment_sums` in tiles whose (t, k*k) sums fit in 1 MiB. So a
+    spec's values depend on its body, frame, `count` and streams alone.
+    Memory is one block and its sums per thread plus, for each spec,
+    O(count * k + k*k * m) and with pair terms four (count,) arrays.
 
     The simplex is evaluated in vertex coordinates: Dirichlet weights w give
     gamma = <v_a, x> = scale ((n+1)/n w_a - 1/n), E_ij from the edge-sum

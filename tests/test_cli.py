@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import margauss
-from margauss import bodies, stein
+from margauss import bodies, core, stein
 from margauss.cli import main
 from margauss.core import substream
 from margauss.harness import ExperimentConfig, read_result_csv, row_stream, run_experiment
@@ -74,7 +74,7 @@ def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
     # Python's max(0.0, nan) is 0.0, so a NaN residual must not be reduced with it:
     # 9 points are drawn as 3 whole blocks of 4 (n = 8), and only the middle one has NaN.
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 4 * 8)
-    monkeypatch.setattr(stein, "_cores", lambda: 1)  # draw the blocks in order
+    monkeypatch.setattr(core, "_cores", lambda: 1)  # draw the blocks in order
     draw = stein.sample_body
     tiles = []
 
@@ -100,7 +100,7 @@ def test_verify_pair_fails_on_a_nan_in_a_worker_tile(capsys, monkeypatch):
     # 9 points in blocks of 4 on two cores: the calling thread checks the first
     # block and a worker the other two, the first of which gets a NaN.
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 4 * 8)
-    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    monkeypatch.setattr(core, "_cores", lambda: 2)
     draw = stein.sample_body
     poisoned = []
 
@@ -141,7 +141,7 @@ def test_verify_pair_output_does_not_depend_on_core_count(body, capsys, monkeypa
     monkeypatch.setattr(stein, "conditional_checks", record)
     runs = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        monkeypatch.setattr(core, "_cores", lambda: cores)
         checked.clear()
         code, out = run_cli(
             capsys, "verify", "pair", "--body", body, "--n", "8", "--k", "2",
@@ -168,7 +168,7 @@ def test_verify_pair_worker_error_reaches_the_caller(monkeypatch):
             raise RuntimeError("worker failed")
         return check(pts, spec)
 
-    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    monkeypatch.setattr(core, "_cores", lambda: 2)
     monkeypatch.setattr(stein, "conditional_checks", fail_off_main_thread)
     with pytest.raises(RuntimeError, match="worker failed"):
         main(["verify", "pair", "--body", "product-uniform", "--n", "1024", "--k", "1",
@@ -329,7 +329,7 @@ def test_subcommands_follow_the_stream_map(tmp_path, capsys, monkeypatch, body):
     from margauss import frames, harness, stein
 
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 128)
-    monkeypatch.setattr(stein, "_cores", lambda: 1)  # the checked tiles come in order
+    monkeypatch.setattr(core, "_cores", lambda: 1)  # the checked tiles come in order
     seed, n, k, count = 6, 16, 2, 30
     built, checked, projected = [], [], []
     build_frame, check, group_pass = frames.build_frame, stein.conditional_checks, stein.group_pass
@@ -714,10 +714,10 @@ def test_cli_runs_on_numpy_alone(tmp_path):
 
 
 def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
-    # Groups of rows run on one thread per CPU: each (body, n, seed) group holds
-    # the k = 1 and k = 2 rows, which share one draw, and the two seeds interleave
-    # the groups' rows in sort order. Every group splits its blocks again. At one
-    # and at two BLAS threads, a run patched to one core (no group pool, no block
+    # Each (body, n, seed) group holds the k = 1 and k = 2 rows, which share one
+    # draw, and the two seeds interleave the groups' rows in sort order. Every
+    # group splits its blocks, and each k = 2 row its sliced W1 directions, over
+    # the CPUs. At one and at two BLAS threads, a run patched to one core (no
     # split) must write the bytes of a run at the default.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -728,10 +728,10 @@ def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
     for blas_threads in (1, 2):
         outs = [tmp_path / f"rows{blas_threads}-{cores}.csv" for cores in ("default", "one")]
         result = run_under_address_limit(
-            "import margauss.stein\n"
+            "import margauss.core\n"
             f"for out in {[str(out) for out in outs]!r}:\n"
             "    if out.endswith('-one.csv'):\n"
-            "        margauss.stein._cores = lambda: 1\n"
+            "        margauss.core._cores = lambda: 1\n"
             f"    assert main(['experiment', '--config', {str(config)!r}, '--out', out]) == 0\n",
             4.0,
             blas_threads=blas_threads,
@@ -775,10 +775,10 @@ def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
     }))
     outs = [tmp_path / f"rows{i}.csv" for i in range(3)]
     result = run_under_address_limit(
-        "import margauss.stein\n"
+        "import margauss.core\n"
         f"for out in {[str(out) for out in outs]!r}:\n"
         "    if out.endswith('rows2.csv'):\n"
-        "        margauss.stein._cores = lambda: 1\n"
+        "        margauss.core._cores = lambda: 1\n"
         f"    assert main(['experiment', '--config', {str(config)!r}, '--out', out]) == 0\n",
         4.0,
         blas_threads=2,

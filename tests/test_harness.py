@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from margauss import bodies, harness, stein
+from margauss import bodies, core, harness, stein
 from margauss.bodies import BodySpec, sample_body
 from margauss.core import substream
 from margauss.frames import build_frame, project, walsh_frame
@@ -120,16 +120,14 @@ def test_row_workers_log_in_row_order(monkeypatch, caplog):
     group_task = harness._group_task
     threads = set()
 
-    def first_group_last(config, measure_runtime, group):
+    def record_thread(config, measure_runtime, group):
         threads.add(threading.current_thread() is threading.main_thread())
-        if group[0][0] == 0:
-            time.sleep(0.2)  # the other worker finishes the later groups first
         return group_task(config, measure_runtime, group)
 
-    monkeypatch.setattr(harness, "_group_task", first_group_last)
+    monkeypatch.setattr(harness, "_group_task", record_thread)
     runs = []
     for cores in (1, 2):
-        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        monkeypatch.setattr(core, "_cores", lambda: cores)
         threads.clear()
         caplog.clear()
         with caplog.at_level(logging.WARNING):
@@ -137,7 +135,7 @@ def test_row_workers_log_in_row_order(monkeypatch, caplog):
         records = [(rec.name, rec.levelno, rec.getMessage()) for rec in caplog.records]
         runs.append((rows, records, threads.copy()))
     (rows, records, on_main), (rows2, records2, on_main2) = runs
-    assert on_main == {True} and on_main2 == {False}
+    assert on_main == {True} and on_main2 == {True}  # groups run in turn at any core count
     assert rows2 == rows and len(rows) == 8
     assert [(r.n, r.k, r.seed) for r in rows] == [
         (n, k, seed) for n in (16, 100) for k in (1, 2) for seed in (1, 2)
@@ -157,24 +155,24 @@ def test_row_workers_log_in_row_order(monkeypatch, caplog):
         )
 
 
-def fail_row_1_off_main_thread(monkeypatch, error):
-    """Run groups on two workers and make `_compute_row` raise `error` for row 1 on its
-    worker thread, after its group's shared pass."""
+def fail_row_1(monkeypatch, error):
+    """Split passes over two cores and make `_compute_row` raise `error` for row 1, after
+    its group's shared pass."""
     original = harness._compute_row
 
     def failing(config, idx, *args):
-        if idx == 1 and threading.current_thread() is not threading.main_thread():
+        if idx == 1:
             raise error
         return original(config, idx, *args)
 
-    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    monkeypatch.setattr(core, "_cores", lambda: 2)
     monkeypatch.setattr(harness, "_compute_row", failing)
 
 
 def test_row_worker_error_reaches_the_caller(monkeypatch):
     # Row 1 shares its group and pass with row 0; the error passes through the
     # group's per-row ValueError handling to the caller.
-    fail_row_1_off_main_thread(monkeypatch, RuntimeError("row failed"))
+    fail_row_1(monkeypatch, RuntimeError("row failed"))
     with pytest.raises(RuntimeError, match="row failed"):
         run_experiment(small_config(ks=(1, 2), metrics=()))
 
@@ -183,7 +181,7 @@ def test_row_worker_value_error_skips_its_row_alone(monkeypatch, caplog):
     # Rows 0 and 1 (k = 1 and 2 at n = 16) share one group and one pass.
     config = small_config(ks=(1, 2), metrics=("w1",))
     expected = run_experiment(config)
-    fail_row_1_off_main_thread(monkeypatch, ValueError("bad row"))
+    fail_row_1(monkeypatch, ValueError("bad row"))
     with caplog.at_level(logging.WARNING):
         rows = run_experiment(config)
     assert rows == expected[:1] + expected[2:]
@@ -320,20 +318,52 @@ def test_rows_do_not_depend_on_cores_or_group_makeup(body, monkeypatch, tmp_path
     # A row is a function of its body, frame, N and streams alone. N = 3e4
     # spans four blocks at n = 16, which 1, 2 and 3 cores split differently;
     # and a k = 5 row, whose k*k = 25 sums outgrow a point's coordinates, may
-    # join the group of the k = 1 rows (rows 0 and 1 either way).
+    # join the group of the k = 1 rows (rows 0 and 1 either way). The k = 5
+    # rows' sliced W1 splits its directions over the cores too.
     config = small_config(bodies=(body,), ns=(16,), frames=("haar", "walsh"), samples=30_000,
                           metrics=("w1", "ks", "tv"))
-    outs = []
+    outs, sliced = [], []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        monkeypatch.setattr(core, "_cores", lambda: cores)
         outs.append(tmp_path / f"cores{cores}.csv")
         emit_csv(run_experiment(config), outs[-1])
-    wider = [row for row in run_experiment(replace(config, ks=(1, 5))) if row.k == 1]
-    outs.append(tmp_path / "wider.csv")
-    emit_csv(wider, outs[-1])
+        wider = run_experiment(replace(config, ks=(1, 5)))
+        outs.append(tmp_path / f"wider{cores}.csv")
+        emit_csv([row for row in wider if row.k == 1], outs[-1])
+        sliced.append(tmp_path / f"sliced{cores}.csv")
+        emit_csv([row for row in wider if row.k == 5], sliced[-1])
     assert len(read_result_csv(outs[0])) == 2
     for out in outs[1:]:
         assert out.read_bytes() == outs[0].read_bytes()
+    assert [row.emp_w1 is not None for row in read_result_csv(sliced[0])] == [True, True]
+    for out in sliced[1:]:
+        assert out.read_bytes() == sliced[0].read_bytes()
+
+
+def test_groups_run_in_turn(monkeypatch):
+    # Four groups (one per seed) of 16 blocks each at n = 1024, on two cores:
+    # each group's pass splits its blocks over both, and no other group's
+    # blocks are drawn meanwhile.
+    monkeypatch.setattr(core, "_cores", lambda: 2)
+    draw_block = bodies._draw_block
+    lock = threading.Lock()
+    in_flight, peak = [0], [0]
+
+    def counted(*args):
+        with lock:
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        try:
+            time.sleep(0.005)  # long enough for the draws of other threads to overlap
+            draw_block(*args)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(bodies, "_draw_block", counted)
+    rows = run_experiment(small_config(ns=(1024,), samples=2_000, seeds=(1, 2, 3, 4)))
+    assert len(rows) == 4
+    assert peak[0] == core._cores()
 
 
 @pytest.mark.parametrize("body", ["product-uniform", "product-laplace", "simplex"])

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
-from margauss import metrics
+from margauss import core, metrics
 from margauss.core import substream
 from margauss.metrics import (
     SLICED_DIRECTIONS,
@@ -110,6 +110,19 @@ def test_w1_sliced_matches_full_matrix_bit_for_bit(k, directions):
     est = w1_sliced(samples, substream(68, directions))
     value, se = _full_matrix_w1_sliced(samples, directions, substream(68, directions))
     assert est.value == value and est.se_or_bias_note == se
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_w1_sliced_does_not_depend_on_cores(k, monkeypatch):
+    # The 16 blocks of four directions split into 1, 2 and 3 ranges (16, 8 + 8
+    # and 5 + 5 + 6 blocks); each thread writes its own directions' values.
+    samples = substream(76, k).normal((1234, k))
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(core, "_cores", lambda: cores)
+        est = w1_sliced(samples, substream(69, k))
+        runs.append((est.value, est.se_or_bias_note))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_ks_on_gaussian_data():

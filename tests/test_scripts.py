@@ -44,9 +44,9 @@ def test_smoothing_scan_prints_a_row_per_density(capsys):
     assert len(cells[2]) == 6 and float(cells[2][5]) > 0  # the exact Gaussian distance
 
 
-def canned_run(wall_s, seed):
+def canned_run(wall_s, seed, correct=True, failed=0):
     """The stdout of one `perfbench/run.py --trace 0` run, as it prints it."""
-    verdict = {"correct": True, "attempted": 24, "failed": 0, "metrics": {
+    verdict = {"correct": correct, "attempted": 24, "failed": failed, "metrics": {
         "wall_s": {"value": wall_s, "unit": "s"},
         "setup_s": {"value": 0.25, "unit": "s"},
         "peak_rss_mb": {"value": 130.0, "unit": "MB"},
@@ -60,7 +60,7 @@ def canned_run(wall_s, seed):
     ]) + "\n"
 
 
-def test_bench_ab_aggregates_canned_runs():
+def test_bench_ab_aggregates_canned_runs(monkeypatch, tmp_path, capsys):
     bench = load_script("bench_ab")
     run = bench.parse_run(canned_run(0.7, 41))
     assert run == {"correct": True, "attempted": 24, "failed": 0, "blas_threads": [1],
@@ -78,3 +78,25 @@ def test_bench_ab_aggregates_canned_runs():
     assert (row["after_lower"], row["pairs"]) == (4, 5)
     assert abs(row["before_iqr"] - 0.02) < 1e-12
     assert bench.compare(before, after)["peak_rss_mb"]["after_lower"] == 0  # ties count for neither
+
+    # A run that reads incorrect or failed makes the script exit 1 once both
+    # files are written, naming the run's workload, side and seed.
+    bad = {("sweep-uniform", "before", 47): (True, 1), ("verify-pair", "after", 43): (False, 0)}
+
+    def run_perfbench(root, workload, seed):
+        correct, failed = bad.get((workload, root, seed), (True, 0))
+        return bench.parse_run(canned_run(0.7, seed, correct, failed))
+
+    monkeypatch.setattr(bench, "run_perfbench", run_perfbench)
+    monkeypatch.chdir(tmp_path)
+    args = ["--before", "before", "--before-tag", "b", "--after", "after", "--after-tag", "a"]
+    assert bench.main(args) == 1
+    assert (tmp_path / "bench" / "BENCH_b.json").exists()
+    assert (tmp_path / "bench" / "BENCH_a.json").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "failed run: sweep-uniform before seed=47: correct=True failed=1 of 24",
+        "failed run: verify-pair after seed=43: correct=False failed=0 of 24",
+    ]
+    monkeypatch.setattr(bench, "run_perfbench",
+                        lambda root, workload, seed: bench.parse_run(canned_run(0.7, seed)))
+    assert bench.main(args) == 0

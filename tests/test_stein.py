@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from margauss import bodies, stein
+from margauss import bodies, core, stein
 from margauss.bodies import BodySpec, parse_body_kind, regular_simplex, sample_body
 from margauss.core import ConstantsConfig, batch_mean_se, substream
 from margauss.frames import (
@@ -475,7 +475,7 @@ def test_row_pass_values_do_not_depend_on_worker_count(kind, n, k, monkeypatch):
              (block + 5, False)]
     results = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(stein, "_cores", lambda: cores)
+        monkeypatch.setattr(core, "_cores", lambda: cores)
         runs = []
         for count, with_indices in cases:
             indices = substream(60, 1000 + n + k) if with_indices else None
@@ -493,7 +493,7 @@ def test_row_pass_worker_error_reaches_the_caller(monkeypatch):
             raise RuntimeError("worker failed")
         return sample_body(*args, **kwargs)
 
-    monkeypatch.setattr(stein, "_cores", lambda: 2)
+    monkeypatch.setattr(core, "_cores", lambda: 2)
     monkeypatch.setattr(stein, "sample_body", fail_off_main_thread)
     spec = make_spec("product-uniform", 1024, 1, seed=61)
     with pytest.raises(RuntimeError, match="worker failed"):
