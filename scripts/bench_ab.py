@@ -13,7 +13,8 @@ and the sha256 of its uncommitted changes to the code the benchmark runs,
 the BLAS thread counts its rounds reported, and for each workload the seeds,
 every run's metrics, and their medians and quartiles. It then prints, for
 each workload and metric, both medians, the pairs in which the after side
-reads lower, and the before side's quartile spread. It exits with status 1,
+reads lower and higher (a tie counts for neither), the before side's
+quartile spread, and a verdict (`verdict`). It exits with status 1,
 after writing both files, if any run reads `correct: false` or `failed > 0`,
 and names each such run's workload, side and seed.
 """
@@ -32,6 +33,7 @@ import sys
 from pathlib import Path
 
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 PAIRS = 10
 OUT = "bench"
 BENCHED_CODE = ("src", "perfbench")  # what a perfbench round imports and runs
@@ -61,19 +63,41 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
+def verdict(row: dict, before: list[float], after: list[float], bound: float) -> str:
+    """gain, worse, unresolved or flat, for a lower-is-better metric with its relative bound.
+
+    gain: after reads lower in at least 9 of 10 pairs, and the medians differ
+    by more than the before side's IQR. worse: the after median exceeds the
+    before median by more than the bound. unresolved: not worse, but the
+    before IQR exceeds the bound times its median, and not every after run is
+    below every before run.
+    """
+    b, a, iqr = row["before_median"], row["after_median"], row["before_iqr"]
+    if 10 * row["after_lower"] >= 9 * row["pairs"] and b - a > iqr:
+        return "gain"
+    if a > b * (1 + bound):
+        return "worse"
+    if iqr > bound * b and max(after) >= min(before):
+        return "unresolved"
+    return "flat"
+
+
 def compare(before: list[dict], after: list[dict]) -> dict:
-    """For each metric: both medians, the pairs where after reads lower, before's spread."""
+    """Per metric: both medians, the pairs where after reads lower and higher, IQR, verdict."""
     table = {}
     summary_before, summary_after = summarize(before), summarize(after)
     for name, b in summary_before.items():
-        lower = sum(y["metrics"][name] < x["metrics"][name] for x, y in zip(before, after))
-        table[name] = {
+        xs = [run["metrics"][name] for run in before]
+        ys = [run["metrics"][name] for run in after]
+        row = table[name] = {
             "before_median": b["median"],
             "after_median": summary_after[name]["median"],
-            "after_lower": lower,
+            "after_lower": sum(y < x for x, y in zip(xs, ys)),
+            "after_higher": sum(y > x for x, y in zip(xs, ys)),
             "pairs": len(before),
             "before_iqr": b["q3"] - b["q1"],
         }
+        row["verdict"] = verdict(row, xs, ys, BOUNDS[name])
     return table
 
 
@@ -162,7 +186,8 @@ def main(argv=None) -> int:
         for name, row in table.items():
             print(f"{workload} {name}: {row['before_median']:.4g} -> {row['after_median']:.4g}, "
                   f"after lower in {row['after_lower']}/{row['pairs']} pairs, "
-                  f"before IQR {row['before_iqr']:.3g}")
+                  f"higher in {row['after_higher']}, before IQR {row['before_iqr']:.3g}: "
+                  f"{row['verdict']}")
     bad = failures(runs)
     for line in bad:
         print(f"failed run: {line}", file=sys.stderr)

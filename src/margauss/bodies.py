@@ -53,10 +53,14 @@ class BodySpec:
         return self.kind != "simplex"
 
     @property
+    def m(self) -> int:
+        """Coordinates per point: n, or one per vertex, n + 1, for the simplex."""
+        return self.n + 1 if self.kind == "simplex" else self.n
+
+    @property
     def block(self) -> int:
-        """Points per draw block (`sample_body`): 1 MiB of coordinates, n + 1 for the simplex."""
-        m = self.n + 1 if self.kind == "simplex" else self.n
-        return max(4, _BLOCK_BUDGET // m // 4 * 4)
+        """Points per draw block (`sample_body`): 1 MiB of their `m` coordinates."""
+        return max(4, _BLOCK_BUDGET // self.m // 4 * 4)
 
     @cached_property
     def geom(self) -> Optional["SimplexGeometry"]:

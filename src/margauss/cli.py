@@ -3,10 +3,12 @@
 Subcommands: frames, sample, verify pair, bounds, smoothing, distance,
 experiment. Seeds given on the command line are overridden by the MG_SEED
 environment variable when it is set. A subcommand that draws reads the
-streams of sweep row 0 (`harness.row_stream`). Every body is drawn in whole
-blocks, each from its own stream (`bodies.sample_body`), so a point depends
-only on its stream and its position there: `sample --count c` writes the
-first c points that `verify pair` checks and `distance` and row 0 project.
+streams of sweep row 0 (`harness.row_stream`), and `verify pair`, `bounds`
+and `distance` work on row 0's PairSpec (`harness.row_spec`). Every body is
+drawn in whole blocks, each from its own stream (`bodies.sample_body`), so a
+point depends only on its stream and its position there: `sample --count c`
+writes the first c points that `verify pair` checks and `distance` and row 0
+project.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify_pair(args) -> int:
-    spec = bodies.parse_body_kind(args.body, args.n)
+    body = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
-    frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
-    pair = stein.PairSpec(body=spec, frame=frame)
+    pair = harness.row_spec(body, 0, args.k, args.frame, seed)
     lin, sec = astuple(stein.check_pairs(pair, args.samples, row_stream(seed, 0, "points")))
     ok = lin < PAIR_TOLERANCE and sec < PAIR_TOLERANCE
     print(f"linearity_residual={lin:.3e}")
@@ -65,12 +66,13 @@ def _cmd_verify_pair(args) -> int:
 
 def _cmd_bounds(args) -> int:
     constants = ConstantsConfig.from_json(args.constants) if args.constants else ConstantsConfig()
-    spec = bodies.parse_body_kind(args.body, args.n)
+    body = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
-    frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
-    reports = [stein.theorem_bounds(frame, spec.geom, constants)]  # thm1, or thm2 for the simplex
-    if spec.kind == "simplex" and args.k == 1:
-        reports.append(stein.theorem_bounds(frame, spec.geom, constants, theorem="thm3"))
+    pair = harness.row_spec(body, 0, args.k, args.frame, seed)
+    fun = frames.frame_functionals(pair.frame, body.geom)  # once, for every report
+    reports = [stein.theorem_bounds(fun, args.k, constants)]  # thm1, or thm2 for the simplex
+    if body.kind == "simplex" and args.k == 1:
+        reports.append(stein.theorem_bounds(fun, args.k, constants, theorem="thm3"))
     for report in reports:
         print(_csv([report.source, report.d1_bound, report.dtv_bound, report.d2_bound,
                     *astuple(constants)]))
@@ -87,10 +89,9 @@ def _cmd_smoothing(args) -> int:
 
 def _cmd_distance(args) -> int:
     harness.check_dimension(args.metric, args.k)  # before the draw, which can take seconds
-    spec = bodies.parse_body_kind(args.body, args.n)
+    body = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
-    frame = frames.build_frame(args.frame, args.n, args.k, row_stream(seed, 0, "frame"))
-    pair = stein.PairSpec(body=spec, frame=frame)
+    pair = harness.row_spec(body, 0, args.k, args.frame, seed)
     w, _ = stein.row_pass(pair, args.samples, row_stream(seed, 0, "points"))
     est = harness.estimate_distance(args.metric, w, row_stream(seed, 0, "directions"))
     print(_csv([est.metric, est.value, est.se_or_bias_note, est.count, est.k]))

@@ -3,10 +3,10 @@
 A sweep enumerates (body, n, k, frame, seed) combinations in sorted order,
 computes closed-form and semi-empirical bounds next to empirical distances,
 and emits a deterministic CSV: identical config and seeds give byte-identical
-files. A row whose computation raises a ValueError, as every invalid
-combination does when its body or frame is built, is skipped with a logged
-reason, never silently. The rows of one (body, n, seed) group draw the body
-once, together.
+files. A row whose computation raises a ValueError (as every invalid
+combination does when its body or frame is built) or a MemoryError is
+skipped with a logged reason, never silently. The rows of one (body, n,
+seed) group draw the body once, together.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import stein
 from .bodies import BodySpec, parse_body_kind
 from .core import ConstantsConfig, RandomStream, check_seed, substream
-from .frames import FrameFunctionals, build_frame, frame_functionals
+from .frames import build_frame, frame_functionals
 from .metrics import DistanceEstimate, ks_1d, tv_hist_1d, w1_1d, w1_sliced
 from .stein import (
     PAIR_TERM_MIN_COUNT,
-    BoundReport,
     PairSpec,
     corollary_bounds,
     group_pass,
@@ -177,8 +176,8 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     pair terms, the (N,) arrays frob, cubes and cond_second and the N
     symmetry indices, plus one block of points per thread, during its pass;
     after the pass, each row's W until that row is done. When every group
-    has run, each row's warnings are logged in row order. A ValueError
-    skips the rows it arises in; any other exception reaches the caller.
+    has run, each row's warnings are logged in row order. A ValueError or
+    MemoryError skips the rows it arises in; any other reaches the caller.
     runtime_ms is a row's own elapsed time plus that of its group's shared
     pass, so the times of a group's rows overlap.
     """
@@ -202,13 +201,10 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     return rows
 
 
-class _RowSetup(NamedTuple):
-    """What a row builds before its group's shared pass."""
-
-    spec: PairSpec
-    fun: FrameFunctionals
-    thm: BoundReport
-    indices: Optional[RandomStream]
+def row_spec(body: BodySpec, idx: int, k: int, frame_kind: str, seed: int) -> PairSpec:
+    """Row idx's PairSpec: `body` and its k-row frame, built from the row's frame stream."""
+    frame = build_frame(frame_kind, body.n, k, row_stream(seed, idx, "frame"))
+    return PairSpec(body=body, frame=frame)
 
 
 def _group_task(
@@ -218,11 +214,11 @@ def _group_task(
 
     Returns each row, or None if it is skipped, with its warnings as
     logger.warning arguments, in row order. The body is parsed once. Each row
-    builds its own frame and bounds and reads its own frame, indices and
-    directions streams; the points are drawn once for all rows, by
-    `stein.group_pass` on the points stream of the group's first row. A
-    ValueError skips the row it arises in, or every row still standing if it
-    arises in the body or in the shared pass.
+    builds its `PairSpec` (`row_spec`), then `stein.group_pass` draws the
+    points once for all rows, from the points stream of the group's first
+    row, with each row's own indices stream when N >= 10^4; `_compute_row`
+    does the rest. A ValueError or MemoryError skips the row it arises in,
+    or every row still standing if it arises in the body or the shared pass.
     """
     g, (body_kind, n, _, _, seed) = group[0]
     notes = [[] for _ in group]
@@ -230,11 +226,11 @@ def _group_task(
     rows = [None] * len(group)
 
     def attempt(members, fn, *args):
-        """fn(*args), timed for each row i in `members`, which all skip on a ValueError."""
+        """fn(*args), timed for each row i in `members`, which all skip if it cannot run."""
         started = time.perf_counter()
         try:
             return fn(*args)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             for i in members:
                 notes[i].append((
                     "skipping row body=%s n=%d k=%d frame=%s seed=%d: %s", *group[i][1], exc,
@@ -246,56 +242,46 @@ def _group_task(
                 seconds[i] += elapsed
 
     body = attempt(range(len(group)), parse_body_kind, body_kind, n)
-    setups = {} if body is None else {
-        i: attempt([i], _build_row, config, body, idx, *combo, notes[i])
-        for i, (idx, combo) in enumerate(group)
+    specs = {} if body is None else {
+        i: attempt([i], row_spec, body, idx, k, frame_kind, seed)
+        for i, (idx, (_, _, k, frame_kind, _)) in enumerate(group)
     }
-    live = [i for i, setup in setups.items() if setup is not None]
+    live = [i for i, spec in specs.items() if spec is not None]
+    pairs = config.samples >= PAIR_TERM_MIN_COUNT
     passes = dict.fromkeys(live, (None, None))
-    if live and (config.samples >= PAIR_TERM_MIN_COUNT or config.metrics):
-        results = attempt(
-            live, group_pass, [setups[i].spec for i in live], config.samples,
-            row_stream(seed, g, "points"), [setups[i].indices for i in live],
-        )
+    if live and (pairs or config.metrics):
+        indices = [row_stream(seed, group[i][0], "indices") if pairs else None for i in live]
+        results = attempt(live, group_pass, [specs[i] for i in live], config.samples,
+                          row_stream(seed, g, "points"), indices)
         passes = {} if results is None else dict(zip(live, results))
         del results
     for i in list(passes):
         idx, combo = group[i]
         # Popped, so a row's W is freed as soon as that row is done.
-        rows[i] = attempt([i], _compute_row, config, idx, *combo, notes[i], setups[i],
+        rows[i] = attempt([i], _compute_row, config, idx, *combo, notes[i], specs[i],
                           *passes.pop(i))
         if measure_runtime and rows[i] is not None:
             rows[i] = replace(rows[i], runtime_ms=1000.0 * seconds[i])
     return list(zip(rows, notes))
 
 
-def _build_row(
-    config: ExperimentConfig, body: BodySpec, idx: int, body_kind: str, n: int, k: int,
-    frame_kind: str, seed: int, notes: list,
-) -> _RowSetup:
-    """Row idx's frame, functionals, theorem bounds and indices stream."""
-    frame = build_frame(frame_kind, n, k, row_stream(seed, idx, "frame"))
-    fun = frame_functionals(frame, body.geom)
-    thm = theorem_bounds(frame, body.geom, config.constants)
-    indices = row_stream(seed, idx, "indices") if config.samples >= PAIR_TERM_MIN_COUNT else None
-    if indices is None:
-        notes.append((
-            "skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
-            body_kind, n, k, config.samples,
-        ))
-    return _RowSetup(PairSpec(body=body, frame=frame), fun, thm, indices)
-
-
 def _compute_row(
     config: ExperimentConfig, idx: int, body_kind: str, n: int, k: int, frame_kind: str, seed: int,
-    notes: list, setup: _RowSetup, w: Optional[np.ndarray], stats: Optional[stein.PairStatistics],
+    notes: list, spec: PairSpec, w: Optional[np.ndarray], stats: Optional[stein.PairStatistics],
 ) -> ResultRow:
-    """Row idx of the sweep from its setup and its share of the group pass, (w, stats).
+    """Row idx of the sweep from its PairSpec and its share of the group pass, (w, stats).
 
-    Each warning it has is appended to `notes`, not logged.
+    The row's frame functionals (computed once) and the theorem bounds read
+    from them, the corollary bounds from `stats` (a note when it is None, at
+    N < 10^4) and the distances of `w`. Warnings go to `notes`, not the log.
     """
+    fun = frame_functionals(spec.frame, spec.body.geom)
+    thm = theorem_bounds(fun, k, config.constants)
     bound_d1_cor = bound_dtv_cor = None
-    if stats is not None:
+    if stats is None:
+        notes.append(("skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
+                      body_kind, n, k, config.samples))
+    else:
         cor = corollary_bounds(stats, config.constants)
         bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
 
@@ -310,16 +296,16 @@ def _compute_row(
     w1 = emp.get("w1")
 
     return ResultRow(
-        body=setup.spec.body.label(),
+        body=spec.body.label(),
         n=n,
         k=k,
         frame=frame_kind,
         seed=seed,
         N=config.samples,
-        l4_sum=setup.fun.l4_sum,
-        simplex_quartic=setup.fun.simplex_quartic,
-        bound_d1_thm=setup.thm.d1_bound,
-        bound_dtv_thm=setup.thm.dtv_bound,
+        l4_sum=fun.l4_sum,
+        simplex_quartic=fun.simplex_quartic,
+        bound_d1_thm=thm.d1_bound,
+        bound_dtv_thm=thm.dtv_bound,
         bound_d1_cor=bound_d1_cor,
         bound_dtv_cor=bound_dtv_cor,
         emp_w1=w1.value if w1 else None,

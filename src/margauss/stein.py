@@ -40,7 +40,7 @@ from .bodies import (
     vertex_projection,
 )
 from .core import ConstantsConfig, RandomStream, _split, batch_mean_se, batch_var_se
-from .frames import Frame, frame_functionals, project
+from .frames import Frame, FrameFunctionals, project
 
 BOUND_SOURCES = (
     "thm1",
@@ -185,8 +185,7 @@ def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> Conditional
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    k, n, block = spec.k, spec.n, spec.body.block
-    m = n + 1 if spec.body.kind == "simplex" else n
+    k, n, m, block = spec.k, spec.n, spec.body.m, spec.body.block
     width = max(2 * m, k * k) if spec.body.kind == "simplex" else k * n
     tile = max(1, block * m // width)
     spec.products  # built, like spec.alpha, before any worker thread starts
@@ -214,7 +213,7 @@ def _moment_sums(spec: PairSpec, sq: np.ndarray, w: np.ndarray, norm2=None, out=
     """
     s = np.matmul(sq, spec.products.T, out=out)
     if spec.body.kind == "simplex":
-        k, n, m = spec.k, spec.n, spec.n + 1
+        k, n, m = spec.k, spec.n, spec.body.m
         r = (m / n) ** 2
         s *= 2.0 * m
         s[:, :: k + 1] += 2.0 * r * norm2[:, None]
@@ -372,8 +371,7 @@ def group_pass(
     rows = [_RowTerms(spec, count, ix) for spec, ix in zip(specs, indices, strict=True)]
     pairs = [row for row in rows if row.pairs]
     simplex = body.kind == "simplex"
-    n, block = body.n, body.block
-    m = n + 1 if simplex else n  # gamma holds one coordinate per simplex vertex
+    n, m, block = body.n, body.m, body.block  # gamma holds one coordinate per simplex vertex
     # Blocks and tiles hold a multiple of 4 rows: BLAS matrix-vector kernels
     # take rows in groups of four and round an operand's last 1-3 rows
     # differently, so a row's bits do not depend on where a tile starts.
@@ -434,29 +432,27 @@ class BoundReport:
 
 
 def theorem_bounds(
-    frame: Frame,
-    geom: Optional[SimplexGeometry] = None,
+    fun: FrameFunctionals,
+    k: int,
     constants: Optional[ConstantsConfig] = None,
     theorem: Optional[str] = None,
 ) -> BoundReport:
-    """Closed-form bounds from the frame functionals alone.
+    """Closed-form bounds of a k-dimensional marginal from its frame functionals alone.
 
-    thm1 covers 1-unconditional bodies (no geometry), thm2 the simplex, and
-    thm3 the sharper k = 1 simplex total-variation bound. When `theorem` is
-    None it is selected from the presence of a geometry.
+    thm1 covers 1-unconditional bodies, thm2 the simplex, and thm3 the sharper
+    k = 1 simplex total-variation bound. When `theorem` is None it is thm2 if
+    `fun` holds the simplex functionals, thm1 otherwise.
     """
     constants = constants or ConstantsConfig()
     if theorem is None:
-        theorem = "thm1" if geom is None else "thm2"
-    k = frame.k
-    fun = frame_functionals(frame, geom)
+        theorem = "thm1" if fun.simplex_quartic is None else "thm2"
     if theorem == "thm1":
         return BoundReport(
             source="thm1",
             d1_bound=14.0 * math.sqrt(k * fun.l4_sum),
             dtv_bound=constants.C_tv_multi * k ** (5.0 / 6.0) * fun.l4_sum ** (1.0 / 3.0),
         )
-    if geom is None:
+    if fun.simplex_quartic is None:
         raise ValueError(f"{theorem} requires a simplex geometry")
     if theorem == "thm2":
         q = fun.simplex_quartic

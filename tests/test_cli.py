@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import margauss
-from margauss import bodies, core, stein
+from margauss import bodies, core, frames, stein
 from margauss.cli import main
 from margauss.core import substream
 from margauss.harness import ExperimentConfig, read_result_csv, row_stream, run_experiment
@@ -517,6 +517,34 @@ def test_experiment_skips_failing_rows(tmp_path, capsys, caplog):
     ]
 
 
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every margauss module that binds it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("margauss") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_frame_functionals_once_per_row_and_per_bounds_call(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, frames, "frame_functionals")
+    config = ExperimentConfig(
+        bodies=("product-uniform", "simplex"), ns=(16,), ks=(1, 2), frames=("haar", "walsh"),
+        samples=200, seeds=(3,), metrics=("w1",),
+    )
+    assert len(run_experiment(config)) == len(calls) == 8
+    calls.clear()
+    code, out = run_cli(capsys, "bounds", "--body", "simplex", "--n", "64", "--k", "1",
+                        "--frame", "haar")
+    assert code == 0 and len(out.splitlines()) == 2  # thm2 and thm3
+    assert len(calls) == 1
+
+
 def run_under_address_limit(
     code: str, limit_gb: float, blas_threads: int = 1
 ) -> subprocess.CompletedProcess:
@@ -651,6 +679,36 @@ def test_simplex_wide_frame_pair_terms_within_address_space_limit(tmp_path):
     assert result.returncode == 0, result.stderr[-2000:]
     rows = read_result_csv(out)
     assert len(rows) == 1 and rows[0].bound_d1_cor is not None
+
+
+def test_experiment_skips_a_group_it_cannot_allocate(tmp_path):
+    # At n = k = 1024 the products alpha_i * alpha_j of a row, (k*k, n), take
+    # 8 GiB: the group's shared pass cannot allocate them in 3 GiB, so each row
+    # of that group is skipped as a ValueError would skip it, and the sweep
+    # still writes its n = 16 row.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-uniform"], "ns": [16, 1024], "ks": [1, 1024],
+        "frames": ["coordinate"], "samples": 10_000, "seeds": [1], "metrics": [],
+    }))
+    out = tmp_path / "rows.csv"
+    result = run_under_address_limit(
+        f"sys.exit(main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]))\n",
+        3.0,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "Traceback" not in result.stderr
+    skips = [line.removeprefix("WARNING margauss.harness: ")
+             for line in result.stderr.splitlines() if "skipping row" in line]
+    assert skips[0] == ("skipping row body=product-uniform n=16 k=1024 frame=coordinate seed=1: "
+                        "need 1 <= k <= n, got k=1024, n=16")
+    assert [line.split(": ")[0] for line in skips[1:]] == [
+        f"skipping row body=product-uniform n=1024 k={k} frame=coordinate seed=1" for k in (1, 1024)
+    ]
+    assert all(line.split(": ", 1)[1].startswith("Unable to allocate 8.00 GiB")
+               for line in skips[1:])
+    rows = read_result_csv(out)
+    assert [(row.n, row.k) for row in rows] == [(16, 1)] and rows[0].bound_d1_cor is not None
 
 
 def test_product_wide_frame_pair_terms_within_address_space_limit(tmp_path):

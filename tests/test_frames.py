@@ -144,7 +144,7 @@ def test_coordinate_frame_functionals():
 
 
 def test_coordinate_frame_bound_is_vacuous():
-    report = theorem_bounds(coordinate_frame(5, 1))
+    report = theorem_bounds(frame_functionals(coordinate_frame(5, 1)), 1)
     assert report.d1_bound == pytest.approx(14.0)
 
 

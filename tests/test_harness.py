@@ -376,9 +376,9 @@ def test_each_group_row_matches_a_pass_of_its_own(body, monkeypatch):
     seen = []
     compute_row = harness._compute_row
 
-    def record(config, idx, body, n, k, frame, seed, notes, setup, w, stats):
-        seen.append((idx, k, frame, seed, setup.spec, w, stats))
-        return compute_row(config, idx, body, n, k, frame, seed, notes, setup, w, stats)
+    def record(config, idx, body, n, k, frame, seed, notes, spec, w, stats):
+        seen.append((idx, k, frame, seed, spec, w, stats))
+        return compute_row(config, idx, body, n, k, frame, seed, notes, spec, w, stats)
 
     monkeypatch.setattr(harness, "_compute_row", record)
     rows = run_experiment(config)

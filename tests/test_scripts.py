@@ -75,9 +75,25 @@ def test_bench_ab_aggregates_canned_runs(monkeypatch, tmp_path, capsys):
     assert bench.summarize(before[:1])["setup_s"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
     row = bench.compare(before, after)["wall_s"]
     assert row["before_median"] == 0.71 and row["after_median"] == 0.58
-    assert (row["after_lower"], row["pairs"]) == (4, 5)
+    assert (row["after_lower"], row["after_higher"], row["pairs"]) == (4, 1, 5)
     assert abs(row["before_iqr"] - 0.02) < 1e-12
-    assert bench.compare(before, after)["peak_rss_mb"]["after_lower"] == 0  # ties count for neither
+    peak = bench.compare(before, after)["peak_rss_mb"]
+    assert (peak["after_lower"], peak["after_higher"]) == (0, 0)  # ties count for neither
+
+    # One canned case of ten pairs for each verdict on wall_s, whose bound is 0.25.
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # median 1.0, IQR 0.035
+    wide = [0.60, 1.40, 0.70, 1.30, 0.80, 1.20, 0.90, 1.10, 1.00, 1.00]  # IQR 0.35 > 0.25 x 1.0
+    cases = {
+        "gain": (base, [w - 0.2 for w in base]),  # lower in 10/10, by more than the IQR
+        "worse": (base, [1.5 * w for w in base]),  # median 1.5 > 1.0 * 1.25
+        "unresolved": (wide, [w - 0.05 for w in wide]),  # lower in 10/10, within the IQR
+        "flat": (base, base[1:] + base[:1]),  # medians equal, spread small
+    }
+    for expected, (xs, ys) in cases.items():
+        rows = [[bench.parse_run(canned_run(w, 41 + i)) for i, w in enumerate(side)]
+                for side in (xs, ys)]
+        assert bench.compare(*rows)["wall_s"]["verdict"] == expected, expected
+    assert bench.compare(before, after)["wall_s"]["verdict"] == "flat"  # lower in 4/5 alone
 
     # A run that reads incorrect or failed makes the script exit 1 once both
     # files are written, naming the run's workload, side and seed.

@@ -259,23 +259,24 @@ def test_proof_chain_simplex(n, k):
 
 
 def test_theorem_bound_values():
-    assert theorem_bounds(walsh_frame(256, 2)).d1_bound == pytest.approx(7.0)
-    assert theorem_bounds(walsh_frame(64, 1)).d1_bound == pytest.approx(14 * 64**-0.25)
+    assert theorem_bounds(frame_functionals(walsh_frame(256, 2)), 2).d1_bound == pytest.approx(7.0)
+    assert theorem_bounds(frame_functionals(walsh_frame(64, 1)), 1).d1_bound == pytest.approx(
+        14 * 64**-0.25)
     geom = regular_simplex(2)
     frame = Frame(np.array([[1.0, 0.0]]))
-    report = theorem_bounds(frame, geom, theorem="thm3")
+    report = theorem_bounds(frame_functionals(frame, geom), 1, theorem="thm3")
     cubic = frame_functionals(frame, geom).simplex_cubic
     assert report.dtv_bound == pytest.approx(math.sqrt(cubic))
     with pytest.raises(ValueError):
-        theorem_bounds(walsh_frame(4, 2), geom=None, theorem="thm3")
+        theorem_bounds(frame_functionals(walsh_frame(4, 2)), 2, theorem="thm3")
     with pytest.raises(ValueError):
-        theorem_bounds(Frame(np.eye(2)), geom, theorem="thm3")
+        theorem_bounds(frame_functionals(Frame(np.eye(2)), geom), 2, theorem="thm3")
 
 
 def test_theorem_bounds_scale_with_constants():
     constants = ConstantsConfig(C_tv_multi=3.0)
-    base = theorem_bounds(walsh_frame(64, 2))
-    scaled = theorem_bounds(walsh_frame(64, 2), constants=constants)
+    base = theorem_bounds(frame_functionals(walsh_frame(64, 2)), 2)
+    scaled = theorem_bounds(frame_functionals(walsh_frame(64, 2)), 2, constants=constants)
     assert scaled.dtv_bound == pytest.approx(3.0 * base.dtv_bound)
     assert scaled.d1_bound == pytest.approx(base.d1_bound)
 
@@ -339,7 +340,7 @@ def test_corollary_below_theorem_d1(kind, frame_kind):
     spec = make_spec(kind, 64, 2, seed=5, frame_kind=frame_kind)
     stats = estimate_pair_terms(spec, 50_000, substream(49, 0), substream(49, 1000))
     cor = corollary_bounds(stats)
-    thm = theorem_bounds(spec.frame, spec.body.geom)
+    thm = theorem_bounds(frame_functionals(spec.frame, spec.body.geom), spec.k)
     assert cor.d1_bound <= thm.d1_bound * (1 + 3 * stats.term_E_se / max(stats.term_E, 1e-12))
 
 
