@@ -14,6 +14,7 @@ project.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import astuple, replace
@@ -69,9 +70,10 @@ def _cmd_bounds(args) -> int:
     body = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
     pair = harness.row_spec(body, 0, args.k, args.frame, seed)
-    fun = frames.frame_functionals(pair.frame, body.geom)  # once, for every report
+    simplex = body.kind == "simplex"
+    fun = frames.frame_functionals(pair.frame, pair.alpha if simplex else None)  # once
     reports = [stein.theorem_bounds(fun, args.k, constants)]  # thm1, or thm2 for the simplex
-    if body.kind == "simplex" and args.k == 1:
+    if simplex and args.k == 1:
         reports.append(stein.theorem_bounds(fun, args.k, constants, theorem="thm3"))
     for report in reports:
         print(_csv([report.source, report.d1_bound, report.dtv_bound, report.d2_bound,
@@ -107,6 +109,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: main may be called many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="margauss",

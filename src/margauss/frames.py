@@ -150,9 +150,11 @@ def project(frame: Frame, x: np.ndarray) -> np.ndarray:
     return x @ frame.rows.T
 
 
-def frame_functionals(frame: Frame, geom=None) -> FrameFunctionals:
-    """Compute the bound functionals; simplex entries require a geometry.
+def frame_functionals(frame: Frame, vertex_products=None) -> FrameFunctionals:
+    """Compute the bound functionals; the simplex entries need the vertex products.
 
+    vertex_products is <theta_i, v_l> (k, n+1) for the unit simplex vertices
+    v_l (`SimplexGeometry.vertex_products`), or None for no simplex entries.
     simplex_cubic is only defined for k = 1 and is left None otherwise.
     """
     rows = frame.rows
@@ -160,10 +162,10 @@ def frame_functionals(frame: Frame, geom=None) -> FrameFunctionals:
     l3 = float(np.sum(np.sum(np.abs(rows) ** 3, axis=1) ** (2.0 / 3.0)))
     quartic = None
     cubic = None
-    if geom is not None:
-        if geom.n != frame.n:
-            raise ValueError(f"geometry dimension {geom.n} != frame dimension {frame.n}")
-        b = geom.vertex_products(rows)  # (k, n+1) inner products with unit vertices
+    if vertex_products is not None:
+        b = np.asarray(vertex_products)
+        if b.shape != (frame.k, frame.n + 1):
+            raise ValueError(f"vertex products of shape {b.shape} != ({frame.k}, {frame.n + 1})")
         quartic = float(np.sum(np.sqrt(np.sum(b**4, axis=1))))
         if frame.k == 1:
             cubic = float(np.sum(np.abs(b[0]) ** 3))

@@ -173,11 +173,13 @@ def run_experiment(config: ExperimentConfig, measure_runtime: bool = False) -> l
     in the sort order of their first rows; each splits its pass, and its k
     >= 2 rows split their sliced W1, over the CPUs (`core._split`). Peak
     memory is that of one group: for each of its rows, W (N, k) and, with
-    pair terms, the (N,) arrays frob, cubes and cond_second and the N
-    symmetry indices, plus one block of points per thread, during its pass;
-    after the pass, each row's W until that row is done. When every group
-    has run, each row's warnings are logged in row order. A ValueError or
-    MemoryError skips the rows it arises in; any other reaches the caller.
+    pair terms, the (N,) arrays frob, cubes and cond_second, the N symmetry
+    indices and the (k*k, m) products of `PairSpec`, plus one block of points
+    per thread, during its pass; after the pass, each row's W until that row
+    is done. When every group has run, each row's warnings are logged in row
+    order. A ValueError or MemoryError skips the rows it arises in (a row
+    whose products cannot be allocated skips alone, before the pass); any
+    other reaches the caller.
     runtime_ms is a row's own elapsed time plus that of its group's shared
     pass, so the times of a group's rows overlap.
     """
@@ -214,11 +216,12 @@ def _group_task(
 
     Returns each row, or None if it is skipped, with its warnings as
     logger.warning arguments, in row order. The body is parsed once. Each row
-    builds its `PairSpec` (`row_spec`), then `stein.group_pass` draws the
-    points once for all rows, from the points stream of the group's first
-    row, with each row's own indices stream when N >= 10^4; `_compute_row`
-    does the rest. A ValueError or MemoryError skips the row it arises in,
-    or every row still standing if it arises in the body or the shared pass.
+    builds its `PairSpec` (`row_spec`) and, when N >= 10^4, the spec's
+    products; then `stein.group_pass` draws the points once for all rows,
+    from the points stream of the group's first row, with each row's own
+    indices stream when N >= 10^4; `_compute_row` does the rest. A ValueError
+    or MemoryError skips the row it arises in, or every row still standing if
+    it arises in the body or the shared pass.
     """
     g, (body_kind, n, _, _, seed) = group[0]
     notes = [[] for _ in group]
@@ -241,13 +244,20 @@ def _group_task(
             for i in members:
                 seconds[i] += elapsed
 
+    pairs = config.samples >= PAIR_TERM_MIN_COUNT
     body = attempt(range(len(group)), parse_body_kind, body_kind, n)
+
+    def spec_of(idx, k, frame_kind):
+        spec = row_spec(body, idx, k, frame_kind, seed)
+        if pairs:
+            spec.products  # built here, so a row too wide for its (k*k, m) weights skips alone
+        return spec
+
     specs = {} if body is None else {
-        i: attempt([i], row_spec, body, idx, k, frame_kind, seed)
+        i: attempt([i], spec_of, idx, k, frame_kind)
         for i, (idx, (_, _, k, frame_kind, _)) in enumerate(group)
     }
     live = [i for i, spec in specs.items() if spec is not None]
-    pairs = config.samples >= PAIR_TERM_MIN_COUNT
     passes = dict.fromkeys(live, (None, None))
     if live and (pairs or config.metrics):
         indices = [row_stream(seed, group[i][0], "indices") if pairs else None for i in live]
@@ -271,11 +281,12 @@ def _compute_row(
 ) -> ResultRow:
     """Row idx of the sweep from its PairSpec and its share of the group pass, (w, stats).
 
-    The row's frame functionals (computed once) and the theorem bounds read
-    from them, the corollary bounds from `stats` (a note when it is None, at
-    N < 10^4) and the distances of `w`. Warnings go to `notes`, not the log.
+    The row's frame functionals (computed once, from the spec's vertex
+    products for the simplex) and the theorem bounds read from them, the
+    corollary bounds from `stats` (a note when it is None, at N < 10^4) and
+    the distances of `w`. Warnings go to `notes`, not the log.
     """
-    fun = frame_functionals(spec.frame, spec.body.geom)
+    fun = frame_functionals(spec.frame, spec.alpha if spec.body.kind == "simplex" else None)
     thm = theorem_bounds(fun, k, config.constants)
     bound_d1_cor = bound_dtv_cor = None
     if stats is None:

@@ -21,6 +21,9 @@ sum_a alpha_ia = 0 and the tight frame sum_a <y, v_a> v_a = ((n+1)/n) y give
 
 so E_ij costs O(n k^2) per point instead of O(n^2 k). Each body has one closed
 form of E_ij, `_moment_sums`, which `group_pass` and `conditional_checks` both call.
+Only `conditional_checks` lists the moves, to check that closed form: every
+reflection, and each transposition once (a < b), since both summands are even
+in (a, b).
 """
 
 from __future__ import annotations
@@ -125,10 +128,11 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     """Verify the conditional identities at one point (n,) or a batch (c, n).
 
     Averages the increment (and its outer square) exactly over all n
-    reflection indices, or all ordered vertex transpositions, and compares
-    against -lambda W and 2 lambda I + E_ij(x), with E_ij from `_moment_sums`,
-    the closed form behind the sweep's pair terms. The transpositions are
-    enumerated in vertex coordinates, one vertex a at a time.
+    reflection indices, or all vertex transpositions, and compares against
+    -lambda W and 2 lambda I + E_ij(x), with E_ij from `_moment_sums`, the
+    closed form behind the sweep's pair terms. The enumeration
+    (`_enumerated_moments`) visits each transposition once, in vertex
+    coordinates.
 
     Each residual is the worst over the batch: the largest entry of any
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
@@ -137,41 +141,62 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     O(c (n + k*k)) for the simplex, so `check_pairs` passes a block in tiles.
     """
     x = np.asarray(x, dtype=np.float64)
-    rows = spec.frame.rows
-    k, n = rows.shape
+    k, n = spec.k, spec.n
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"x must be one point ({n},) or a batch (c, {n}), got shape {x.shape}")
     c = len(pts)
-    lam = spec.lam
     eye = np.eye(k)
     w = project(spec.frame, pts)
+    lin_enum, sec_enum = _enumerated_moments(spec, pts)
     if spec.body.kind == "simplex":
-        alpha = spec.alpha
-        c2 = n / (2.0 * (n + 1))
-        ordered = n * (n + 1.0)
         gamma = pts @ spec.body.geom.vertices.T
-        # Vertex a: u_ab . x = sqrt(c2) dg[:, b], <theta_i, u_ab> = sqrt(c2) da[i, b]; b = a adds 0.
-        lin_sum = np.zeros((c, k))
-        sec_sum = np.zeros((c, k * k))
-        for a in range(n + 1):
-            dg = gamma[:, a, None] - gamma
-            da = alpha[:, a, None] - alpha
-            lin_sum += dg @ da.T
-            products = (da[:, None, :] * da[None, :, :]).reshape(k * k, -1)
-            sec_sum += np.square(dg, out=dg) @ products.T
-        lin_enum = -2.0 * c2 * lin_sum / ordered
-        sec_enum = (4.0 * c2**2 / ordered) * sec_sum.reshape(c, k, k)
         s = _moment_sums(spec, np.square(gamma, out=gamma), w, np.einsum("cn,cn->c", pts, pts))
     else:
-        d = np.multiply(-2.0 * rows, pts[:, None, :])
-        lin_enum = d.mean(axis=2)
-        sec_enum = (d @ d.transpose(0, 2, 1)) / n
         s = _moment_sums(spec, np.square(pts), w)
     e_closed = (4.0 / n) * (s.reshape(c, k, k) - eye)
-    lin_res = np.max(np.abs(lin_enum + lam * w), initial=0.0)
-    sec_res = np.max(np.abs(sec_enum - (2.0 * lam * eye + e_closed)), initial=0.0)
+    lin_res = np.max(np.abs(lin_enum + spec.lam * w), initial=0.0)
+    sec_res = np.max(np.abs(sec_enum - (2.0 * spec.lam * eye + e_closed)), initial=0.0)
     return ConditionalResiduals(float(lin_res), float(sec_res))
+
+
+def _enumerated_moments(spec: PairSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[W' - W | x] (c, k) and E[(W' - W)_i (W' - W)_j | x] (c, k, k), by listing every move.
+
+    A product body's n reflections are formed at once as (k, c, n) increments.
+    The simplex lists each transposition (a, b), a < b, once, one vertex a at
+    a time (`_vertex_sums`), in the vertex coordinates gamma (c, n+1): both
+    summands are even in (a, b), so the sums over ordered pairs are twice these.
+    """
+    rows = spec.frame.rows
+    k, n = rows.shape
+    if spec.body.kind != "simplex":
+        d = (-2.0 * rows)[:, None, :] * pts
+        return np.einsum("icn->ci", d) / n, np.einsum("icn,jcn->cij", d, d) / n
+    alpha = spec.alpha
+    gamma = pts @ spec.body.geom.vertices.T
+    c = len(pts)
+    c2 = n / (2.0 * (n + 1))
+    ordered = n * (n + 1.0)
+    # Edge (a, b): u_ab . x = sqrt(c2) (gamma_a - gamma_b), <theta_i, u_ab> likewise from alpha.
+    lin_sum = np.zeros((c, k))
+    sec_sum = np.zeros((c, k * k))
+    for a in range(n):
+        _vertex_sums(gamma[:, a, None] - gamma[:, a + 1:], alpha[:, a, None] - alpha[:, a + 1:],
+                     lin_sum, sec_sum)
+    return -4.0 * c2 * lin_sum / ordered, (8.0 * c2**2 / ordered) * sec_sum.reshape(c, k, k)
+
+
+def _vertex_sums(dg: np.ndarray, da: np.ndarray, lin_sum: np.ndarray, sec_sum: np.ndarray):
+    """Add one vertex's transpositions to lin_sum (c, k) and sec_sum (c, k*k).
+
+    dg (c, t) and da (k, t) are its differences to the t vertices after it;
+    dg is squared in place.
+    """
+    k = len(da)
+    lin_sum += dg @ da.T
+    products = (da[:, None, :] * da[None, :, :]).reshape(k * k, -1)
+    sec_sum += np.square(dg, out=dg) @ products.T
 
 
 def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> ConditionalResiduals:

@@ -191,7 +191,7 @@ def test_criterion_7_proof_chain_inequalities():
             sstats = estimate_pair_terms(
                 sspec, 100_000, substream(111, n + k), substream(111, 1000 + n + k)
             )
-            q = frame_functionals(sspec.frame, sspec.body.geom).simplex_quartic
+            q = frame_functionals(sspec.frame, sspec.alpha).simplex_quartic
             ok &= sstats.term_E <= 8 * math.sqrt(2) * q + 3 * sstats.term_E_se
             ok &= sstats.term_M3 <= (96 * math.sqrt(k) / (n + 1)) * q + 3 * sstats.term_M3_se
             details.append(f"n={n} k={k} ok={ok}")

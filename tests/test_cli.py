@@ -12,7 +12,7 @@ import pytest
 
 import margauss
 from margauss import bodies, core, frames, stein
-from margauss.cli import main
+from margauss.cli import build_parser, main
 from margauss.core import substream
 from margauss.harness import ExperimentConfig, read_result_csv, row_stream, run_experiment
 
@@ -533,34 +533,85 @@ def count_calls(monkeypatch, module, name):
 
 def test_frame_functionals_once_per_row_and_per_bounds_call(monkeypatch, capsys):
     calls = count_calls(monkeypatch, frames, "frame_functionals")
+    # A simplex row's vertex products are computed once, for its PairSpec,
+    # and its functionals read them from there.
+    vertex_products, products_calls = bodies.SimplexGeometry.vertex_products, []
+
+    def counted(geom, rows):
+        products_calls.append(rows.shape)
+        return vertex_products(geom, rows)
+
+    monkeypatch.setattr(bodies.SimplexGeometry, "vertex_products", counted)
     config = ExperimentConfig(
         bodies=("product-uniform", "simplex"), ns=(16,), ks=(1, 2), frames=("haar", "walsh"),
         samples=200, seeds=(3,), metrics=("w1",),
     )
     assert len(run_experiment(config)) == len(calls) == 8
+    assert len(products_calls) == 4  # the 4 simplex rows
     calls.clear()
+    products_calls.clear()
     code, out = run_cli(capsys, "bounds", "--body", "simplex", "--n", "64", "--k", "1",
                         "--frame", "haar")
     assert code == 0 and len(out.splitlines()) == 2  # thm2 and thm3
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(products_calls) == 1
 
 
 def run_under_address_limit(
     code: str, limit_gb: float, blas_threads: int = 1
 ) -> subprocess.CompletedProcess:
     """Run `code` in a child Python with RLIMIT_AS = limit_gb GiB and that many BLAS threads."""
-    child = (
+    return run_child((
         "import resource, sys\n"
         f"limit = int({limit_gb} * 2**30)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
         "from margauss.cli import main\n"
-    ) + code
+    ) + code, blas_threads)
+
+
+def run_child(code: str, blas_threads: int = 1) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh Python that imports this margauss, without MG_SEED."""
     src = str(Path(margauss.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "MG_SEED"}
     env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=600)
+
+
+def main_in_one_process(*argvs) -> list:
+    """[exit code, stdout, stderr] of `main` on each argv in turn, in one fresh process."""
+    result = run_child(
+        "import contextlib, io, json\n"
+        "from margauss.cli import main\n"
+        "calls = []\n"
+        f"for argv in {[list(argv) for argv in argvs]!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    calls.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(calls))\n"
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout)
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print():
+    # main builds its parser once per process; a usage error must leave it as
+    # fresh for the calls after it.
+    argvs = [
+        ["verify", "pair", "--body", "simplex", "--n", "8", "--k", "2", "--frame", "nope"],
+        ["verify", "pair", "--body", "simplex", "--n", "16", "--k", "2", "--frame", "haar",
+         "--samples", "20"],
+        ["bounds", "--body", "simplex", "--n", "16", "--k", "1", "--frame", "haar"],
+    ]
+    together = main_in_one_process(*argvs)
+    assert together == [main_in_one_process(argv)[0] for argv in argvs]
+    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert "invalid choice: 'nope'" in together[0][2] and "PASS" in together[1][1]
+    assert build_parser() is build_parser()
 
 
 def test_simplex_n1024_within_address_space_limit(tmp_path):
@@ -683,9 +734,9 @@ def test_simplex_wide_frame_pair_terms_within_address_space_limit(tmp_path):
 
 def test_experiment_skips_a_group_it_cannot_allocate(tmp_path):
     # At n = k = 1024 the products alpha_i * alpha_j of a row, (k*k, n), take
-    # 8 GiB: the group's shared pass cannot allocate them in 3 GiB, so each row
-    # of that group is skipped as a ValueError would skip it, and the sweep
-    # still writes its n = 16 row.
+    # 8 GiB: they cannot be allocated in 3 GiB, so that row is skipped as a
+    # ValueError would skip it, before the group's shared pass, and the sweep
+    # still writes its n = 16 row and the n = 1024, k = 1 row of that group.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform"], "ns": [16, 1024], "ks": [1, 1024],
@@ -702,13 +753,12 @@ def test_experiment_skips_a_group_it_cannot_allocate(tmp_path):
              for line in result.stderr.splitlines() if "skipping row" in line]
     assert skips[0] == ("skipping row body=product-uniform n=16 k=1024 frame=coordinate seed=1: "
                         "need 1 <= k <= n, got k=1024, n=16")
-    assert [line.split(": ")[0] for line in skips[1:]] == [
-        f"skipping row body=product-uniform n=1024 k={k} frame=coordinate seed=1" for k in (1, 1024)
-    ]
-    assert all(line.split(": ", 1)[1].startswith("Unable to allocate 8.00 GiB")
-               for line in skips[1:])
+    assert len(skips) == 2
+    reason = "skipping row body=product-uniform n=1024 k=1024 frame=coordinate seed=1: "
+    assert skips[1].startswith(reason + "Unable to allocate 8.00 GiB")
     rows = read_result_csv(out)
-    assert [(row.n, row.k) for row in rows] == [(16, 1)] and rows[0].bound_d1_cor is not None
+    assert [(row.n, row.k) for row in rows] == [(16, 1), (1024, 1)]
+    assert all(row.bound_d1_cor is not None for row in rows)
 
 
 def test_product_wide_frame_pair_terms_within_address_space_limit(tmp_path):

@@ -169,16 +169,18 @@ def test_project_batches():
 def test_frame_functionals_walsh_and_triangle():
     assert frame_functionals(walsh_frame(64, 2)).l4_sum == pytest.approx(0.25, abs=1e-14)
     theta = Frame(np.array([[1.0, 0.0]]), kind="custom")
-    fun = frame_functionals(theta, TRIANGLE)
+    fun = frame_functionals(theta, TRIANGLE.vertex_products(theta.rows))
     assert fun.simplex_cubic == pytest.approx(2 * (math.sqrt(3) / 2) ** 3, abs=1e-12)
     assert fun.simplex_cubic == pytest.approx(1.29904, abs=1e-5)
 
 
 def test_frame_functionals_simplex_cubic_requires_k1():
     f = walsh_frame(2, 2)
-    fun = frame_functionals(f, TRIANGLE)
+    fun = frame_functionals(f, TRIANGLE.vertex_products(f.rows))
     assert fun.simplex_cubic is None
     assert fun.simplex_quartic is not None
+    with pytest.raises(ValueError, match="vertex products"):
+        frame_functionals(f, TRIANGLE.vertex_products(f.rows)[:1])
 
 
 def test_frame_validation_rejects_non_orthonormal():

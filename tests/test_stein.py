@@ -165,6 +165,77 @@ def test_conditional_checks_zero_point():
     assert res.second_moment_residual == 0.0
 
 
+def explicit_moments(spec, x):
+    """E[W' - W | x] and E[(W' - W)(W' - W)^T | x], from one coupling move at a time.
+
+    The moves are `reflect_pair` at every coordinate index, or `transpose_pair`
+    at every unordered simplex edge a < b.
+    """
+    n = spec.n
+    if spec.body.kind == "simplex":
+        geom = spec.body.geom
+        moves = [transpose_pair(x, a, b, geom, spec.frame)
+                 for a in range(n + 1) for b in range(a + 1, n + 1)]
+    else:
+        moves = [reflect_pair(x, i, spec.frame) for i in range(n)]
+    d = np.array([w_prime - w for w, w_prime in moves])
+    return d.mean(axis=0), d.T @ d / len(d)
+
+
+def ordered_pair_moments(spec, pts):
+    """The simplex moments summed over every ordered vertex pair (a, b), a != b."""
+    n, k, alpha = spec.n, spec.k, spec.alpha
+    c2 = n / (2.0 * (n + 1))
+    gamma = pts @ spec.body.geom.vertices.T
+    lin_sum, sec_sum = np.zeros((len(pts), k)), np.zeros((len(pts), k, k))
+    for a in range(n + 1):
+        dg = gamma[:, a, None] - gamma  # b = a adds 0
+        da = alpha[:, a, None] - alpha
+        lin_sum += dg @ da.T
+        sec_sum += np.einsum("cb,ib,jb->cij", dg**2, da, da)
+    ordered = n * (n + 1.0)
+    return -2.0 * c2 * lin_sum / ordered, 4.0 * c2**2 * sec_sum / ordered
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [5, 8, 16])
+@pytest.mark.parametrize("kind", ["product-uniform", "simplex"])
+def test_enumerated_moments_match_explicit_moves(kind, n, k):
+    # The enumerated side of the check, against one coupling move at a time;
+    # for the simplex, each transposition once equals every ordered pair.
+    spec = make_spec(kind, n, k, seed=10 * n + k)
+    pts = sample_body(spec.body, substream(50, 10 * n + k), 4).points
+    lin, sec = stein._enumerated_moments(spec, pts)
+    assert lin.shape == (4, k) and sec.shape == (4, k, k)
+    for c, x in enumerate(pts):
+        lin_x, sec_x = explicit_moments(spec, x)
+        np.testing.assert_allclose(lin[c], lin_x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sec[c], sec_x, rtol=0, atol=1e-12)
+    if kind == "simplex":
+        lin_ordered, sec_ordered = ordered_pair_moments(spec, pts)
+        np.testing.assert_allclose(lin, lin_ordered, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sec, sec_ordered, rtol=0, atol=1e-12)
+
+
+def test_simplex_check_visits_each_vertex_pair_once(monkeypatch):
+    # One check lists the n(n+1)/2 unordered transpositions, not the n(n+1)
+    # ordered ones: a count of the pairs each vertex adds, not a timing.
+    n = 16
+    spec = make_spec("simplex", n, 2, seed=3)
+    pts = sample_body(spec.body, substream(51, n), 5).points
+    vertex_sums, widths = stein._vertex_sums, []
+
+    def counted(dg, da, lin_sum, sec_sum):
+        assert dg.shape == (5, da.shape[1])
+        widths.append(dg.shape[1])
+        return vertex_sums(dg, da, lin_sum, sec_sum)
+
+    monkeypatch.setattr(stein, "_vertex_sums", counted)
+    res = conditional_checks(pts, spec)
+    assert res.linearity_residual < RESIDUAL_TOL and res.second_moment_residual < RESIDUAL_TOL
+    assert sum(widths) == n * (n + 1) // 2 and len(widths) == n
+
+
 BATCH_BODIES = ["product-uniform", "lp-ball(1.5)", "simplex"]
 
 
@@ -251,7 +322,7 @@ def test_proof_chain_product(n, k):
 def test_proof_chain_simplex(n, k):
     spec = make_spec("simplex", n, k, seed=n + k)
     stats = estimate_pair_terms(spec, 50_000, substream(47, n + k), substream(47, 1000 + n + k))
-    fun = frame_functionals(spec.frame, spec.body.geom)
+    fun = frame_functionals(spec.frame, spec.alpha)
     q = fun.simplex_quartic
     assert stats.term_E <= 8 * math.sqrt(2) * q + 3 * stats.term_E_se
     m3_bound = (96 * math.sqrt(k) / (n + 1)) * q
@@ -264,13 +335,15 @@ def test_theorem_bound_values():
         14 * 64**-0.25)
     geom = regular_simplex(2)
     frame = Frame(np.array([[1.0, 0.0]]))
-    report = theorem_bounds(frame_functionals(frame, geom), 1, theorem="thm3")
-    cubic = frame_functionals(frame, geom).simplex_cubic
+    fun = frame_functionals(frame, geom.vertex_products(frame.rows))
+    report = theorem_bounds(fun, 1, theorem="thm3")
+    cubic = fun.simplex_cubic
     assert report.dtv_bound == pytest.approx(math.sqrt(cubic))
     with pytest.raises(ValueError):
         theorem_bounds(frame_functionals(walsh_frame(4, 2)), 2, theorem="thm3")
     with pytest.raises(ValueError):
-        theorem_bounds(frame_functionals(Frame(np.eye(2)), geom), 2, theorem="thm3")
+        theorem_bounds(frame_functionals(Frame(np.eye(2)), geom.vertex_products(np.eye(2))), 2,
+                       theorem="thm3")
 
 
 def test_theorem_bounds_scale_with_constants():
@@ -340,7 +413,8 @@ def test_corollary_below_theorem_d1(kind, frame_kind):
     spec = make_spec(kind, 64, 2, seed=5, frame_kind=frame_kind)
     stats = estimate_pair_terms(spec, 50_000, substream(49, 0), substream(49, 1000))
     cor = corollary_bounds(stats)
-    thm = theorem_bounds(frame_functionals(spec.frame, spec.body.geom), spec.k)
+    vertex_products = spec.alpha if kind == "simplex" else None
+    thm = theorem_bounds(frame_functionals(spec.frame, vertex_products), spec.k)
     assert cor.d1_bound <= thm.d1_bound * (1 + 3 * stats.term_E_se / max(stats.term_E, 1e-12))
 
 
