@@ -11,10 +11,14 @@ machine falls on both sides alike. For each side the script writes
 `bench/BENCH_<tag>.json` under the working directory: the checkout's commit
 and the sha256 of its uncommitted changes to the code the benchmark runs,
 the BLAS thread counts its rounds reported, and for each workload the seeds,
-every run's metrics, and their medians and quartiles. It then prints, for
-each workload and metric, both medians, the pairs in which the after side
-reads lower and higher (a tie counts for neither), the before side's
-quartile spread, and a verdict (`verdict`). It exits with status 1,
+every run's metrics, and their medians and quartiles. Each run also records
+the CPU seconds its processes took (`cpu_s`, user + system) and the host's
+steal seconds while it ran (`steal_s`, from /proc/stat): a run slower with
+no more CPU time, or with steal, was slowed by the host, not by the code.
+It then prints, for each workload and metric, both medians, the pairs in
+which the after side reads lower and higher (a tie counts for neither), the
+before side's quartile spread, and a verdict (`verdict`), and each side's
+medians of `cpu_s` and `steal_s`. It exits with status 1,
 after writing both files, if any run reads `correct: false` or `failed > 0`,
 and names each such run's workload, side and seed.
 """
@@ -27,6 +31,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -101,6 +106,13 @@ def compare(before: list[dict], after: list[dict]) -> dict:
     return table
 
 
+def host_medians(runs: dict, workload: str) -> dict:
+    """Per side, the medians of the workload's runs' `cpu_s` and `steal_s`."""
+    return {side: {key: statistics.median(run[key] for run in workloads[workload])
+                   for key in ("cpu_s", "steal_s")}
+            for side, workloads in runs.items()}
+
+
 def failures(runs: dict) -> list[str]:
     """A line for each run, in runs[side][workload], that reads incorrect or failed."""
     return [f"{workload} {side} seed={run['seed']}: correct={run['correct']} "
@@ -123,6 +135,14 @@ def checkout_state(root: str) -> tuple[str | None, str | None]:
         return None, None
     diff = git("diff", "HEAD", "--", *BENCHED_CODE).stdout
     return head.stdout.decode().strip(), hashlib.sha256(diff).hexdigest() if diff else None
+
+
+def host_counters() -> tuple[float, float]:
+    """CPU seconds of this process's waited-for children, and the host's steal seconds."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    with open("/proc/stat") as fh:
+        steal = int(fh.readline().split()[8])  # cpu user nice system idle iowait irq softirq steal
+    return usage.ru_utime + usage.ru_stime, steal / os.sysconf("SC_CLK_TCK")
 
 
 def run_perfbench(root: str, workload: str, seed: int) -> dict:
@@ -153,11 +173,15 @@ def main(argv=None) -> int:
             seed = args.seed + i
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             for side in order:
+                cpu, steal = host_counters()
                 run = run_perfbench(sides[side][0], workload, seed)
-                run.update(seed=seed, first=side == order[0])
+                cpu_after, steal_after = host_counters()
+                run.update(seed=seed, first=side == order[0], cpu_s=cpu_after - cpu,
+                           steal_s=steal_after - steal)
                 runs[side][workload].append(run)
-                print(f"{workload} seed={seed} {side}: "
-                      f"{json.dumps(run['metrics'])} correct={run['correct']}", flush=True)
+                print(f"{workload} seed={seed} {side}: {json.dumps(run['metrics'])} "
+                      f"cpu_s={run['cpu_s']:.3f} steal_s={run['steal_s']:.3f} "
+                      f"correct={run['correct']}", flush=True)
 
     os.makedirs(OUT, exist_ok=True)
     for side, (root, tag) in sides.items():
@@ -188,6 +212,10 @@ def main(argv=None) -> int:
                   f"after lower in {row['after_lower']}/{row['pairs']} pairs, "
                   f"higher in {row['after_higher']}, before IQR {row['before_iqr']:.3g}: "
                   f"{row['verdict']}")
+        host = host_medians(runs, workload)
+        print(f"{workload} host medians: " + ", ".join(
+            f"{side} cpu_s {host[side]['cpu_s']:.3f} steal_s {host[side]['steal_s']:.3f}"
+            for side in sides))
     bad = failures(runs)
     for line in bad:
         print(f"failed run: {line}", file=sys.stderr)

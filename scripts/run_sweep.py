@@ -13,7 +13,7 @@ its memory grows with N (a few arrays of N values), not with N*n.
 import argparse
 import sys
 
-from margauss.core import resolve_seed
+from margauss.core import one_blas_thread, resolve_seed
 from margauss.harness import ExperimentConfig, emit_csv, fit_decay, run_experiment
 from margauss.metrics import w1_noise_floor
 
@@ -36,7 +36,8 @@ def main(argv=None) -> int:
         seeds=(resolve_seed(args.seed),),
         metrics=("w1",),
     )
-    rows = run_experiment(config)
+    with one_blas_thread():  # run_experiment splits its passes over the cores itself
+        rows = run_experiment(config)
     print(f"estimator noise floor at N={args.samples}: {w1_noise_floor(args.samples):.2e}")
     for row in rows:
         print(

@@ -8,7 +8,8 @@ and `distance` work on row 0's PairSpec (`harness.row_spec`). Every body is
 drawn in whole blocks, each from its own stream (`bodies.sample_body`), so a
 point depends only on its stream and its position there: `sample --count c`
 writes the first c points that `verify pair` checks and `distance` and row 0
-project.
+project. Each command runs with numpy's OpenBLAS at one thread
+(`core.one_blas_thread`): `core._split` spreads its work over the cores.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import astuple, replace
 import numpy as np
 
 from . import bodies, frames, gauss, harness, stein
-from .core import ConstantsConfig, resolve_seed, resolve_seeds
+from .core import ConstantsConfig, one_blas_thread, resolve_seed, resolve_seeds
 from .harness import row_stream
 
 PAIR_TOLERANCE = 1e-10
@@ -53,10 +54,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_verify_pair(args) -> int:
+def _row0_spec(args) -> tuple[int, stein.PairSpec]:
+    """The resolved seed and row 0's PairSpec of the marginal the arguments name."""
     body = bodies.parse_body_kind(args.body, args.n)
     seed = resolve_seed(args.seed)
-    pair = harness.row_spec(body, 0, args.k, args.frame, seed)
+    return seed, harness.row_spec(body, 0, args.k, args.frame, seed)
+
+
+def _cmd_verify_pair(args) -> int:
+    seed, pair = _row0_spec(args)
     lin, sec = astuple(stein.check_pairs(pair, args.samples, row_stream(seed, 0, "points")))
     ok = lin < PAIR_TOLERANCE and sec < PAIR_TOLERANCE
     print(f"linearity_residual={lin:.3e}")
@@ -67,10 +73,8 @@ def _cmd_verify_pair(args) -> int:
 
 def _cmd_bounds(args) -> int:
     constants = ConstantsConfig.from_json(args.constants) if args.constants else ConstantsConfig()
-    body = bodies.parse_body_kind(args.body, args.n)
-    seed = resolve_seed(args.seed)
-    pair = harness.row_spec(body, 0, args.k, args.frame, seed)
-    simplex = body.kind == "simplex"
+    _, pair = _row0_spec(args)
+    simplex = pair.body.kind == "simplex"
     fun = frames.frame_functionals(pair.frame, pair.alpha if simplex else None)  # once
     reports = [stein.theorem_bounds(fun, args.k, constants)]  # thm1, or thm2 for the simplex
     if simplex and args.k == 1:
@@ -91,9 +95,7 @@ def _cmd_smoothing(args) -> int:
 
 def _cmd_distance(args) -> int:
     harness.check_dimension(args.metric, args.k)  # before the draw, which can take seconds
-    body = bodies.parse_body_kind(args.body, args.n)
-    seed = resolve_seed(args.seed)
-    pair = harness.row_spec(body, 0, args.k, args.frame, seed)
+    seed, pair = _row0_spec(args)
     w, _ = stein.row_pass(pair, args.samples, row_stream(seed, 0, "points"))
     est = harness.estimate_distance(args.metric, w, row_stream(seed, 0, "directions"))
     print(_csv([est.metric, est.value, est.se_or_bias_note, est.count, est.k]))
@@ -182,7 +184,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:  # a bad argument value is a usage error too; other exceptions keep their traceback
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -1,6 +1,10 @@
 """Deterministic randomness, the split of work over the CPUs, and the
 configurable universal constants.
 
+`core` sets both thread counts of a command: `_split` runs one thread per
+CPU, and `one_blas_thread` holds numpy's OpenBLAS at one thread while the
+command runs, so the two levels do not multiply.
+
 Random streams are value-like: a (seed, stream_id) pair fully determines a
 draw sequence, and distinct stream ids give statistically independent
 substreams. Parallel replicates can therefore be generated on separate
@@ -10,9 +14,11 @@ streams and merged deterministically in stream_id order.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
 import os
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded at import, not lazily on the first draw
@@ -112,6 +118,8 @@ def _split(count: int, block: int, run) -> list:
     blocks of points, each drawn from its own stream (`RandomStream.block`),
     and `w1_sliced`'s blocks of directions. Each range writes its own part,
     so every value is the one a serial run gives, at any number of threads.
+    This is the one level of threads of a command: every command runs it inside
+    `one_blas_thread`, so each range's matrix products start no BLAS threads.
     """
     blocks = -(-count // block)
     workers = min(_cores(), blocks)
@@ -120,6 +128,47 @@ def _split(count: int, block: int, run) -> list:
     with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
         futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
         return [run(0, bounds[1])] + [future.result() for future in futures]
+
+
+@cache  # looked up once per process
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None if none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line and "numpy" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread, then restore its count.
+
+    `_split` already spreads each pass over the cores, so BLAS threads inside
+    its ranges only contend with them. Without a known OpenBLAS, does nothing.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def batch_mean_se(values: np.ndarray) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import margauss
-from margauss import bodies, core, frames, stein
+from margauss import bodies, core, frames, harness, stein
 from margauss.cli import build_parser, main
 from margauss.core import substream
 from margauss.harness import ExperimentConfig, read_result_csv, row_stream, run_experiment
@@ -578,6 +578,27 @@ def run_child(code: str, blas_threads: int = 1) -> subprocess.CompletedProcess:
                           text=True, timeout=600)
 
 
+# Child code: `experiment(config, out)` writes a config's CSV through the library,
+# which keeps the child's BLAS thread count (`main` holds it at one), and prints
+# that count.
+LIBRARY_EXPERIMENT = (
+    "from margauss.core import _openblas_threads\n"
+    "from margauss.harness import ExperimentConfig, emit_csv, run_experiment\n"
+    "def experiment(config, out):\n"
+    "    api = _openblas_threads()\n"
+    "    print('blas_threads', api[0]() if api else None)\n"
+    "    emit_csv(run_experiment(ExperimentConfig.from_json(config)), out)\n"
+)
+
+
+def ran_at_blas_threads(result: subprocess.CompletedProcess, blas_threads: int) -> bool:
+    """Whether every `experiment` call in the child ran at that many OpenBLAS threads
+    (OpenBLAS starts no more threads than there are CPUs)."""
+    expected = f"blas_threads {min(blas_threads, core._cores())}"
+    seen = {line for line in result.stdout.splitlines() if line.startswith("blas_threads ")}
+    return bool(seen) and seen <= {expected, "blas_threads None"}
+
+
 def main_in_one_process(*argvs) -> list:
     """[exit code, stdout, stderr] of `main` on each argv in turn, in one fresh process."""
     result = run_child(
@@ -825,8 +846,8 @@ def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
     # Each (body, n, seed) group holds the k = 1 and k = 2 rows, which share one
     # draw, and the two seeds interleave the groups' rows in sort order. Every
     # group splits its blocks, and each k = 2 row its sliced W1 directions, over
-    # the CPUs. At one and at two BLAS threads, a run patched to one core (no
-    # split) must write the bytes of a run at the default.
+    # the CPUs. At one and at two BLAS threads, a library run patched to one
+    # core (no split) must write the bytes of a run at the default.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform", "product-gaussian", "lp-ball(1.5)", "simplex"],
@@ -836,15 +857,16 @@ def test_row_workers_write_the_bytes_of_one_worker(tmp_path):
     for blas_threads in (1, 2):
         outs = [tmp_path / f"rows{blas_threads}-{cores}.csv" for cores in ("default", "one")]
         result = run_under_address_limit(
-            "import margauss.core\n"
+            LIBRARY_EXPERIMENT + "import margauss.core\n"
             f"for out in {[str(out) for out in outs]!r}:\n"
             "    if out.endswith('-one.csv'):\n"
             "        margauss.core._cores = lambda: 1\n"
-            f"    assert main(['experiment', '--config', {str(config)!r}, '--out', out]) == 0\n",
+            f"    experiment({str(config)!r}, out)\n",
             4.0,
             blas_threads=blas_threads,
         )
         assert result.returncode == 0, result.stderr[-2000:]
+        assert ran_at_blas_threads(result, blas_threads), result.stdout
         assert len(read_result_csv(outs[0])) == 32
         assert outs[1].read_bytes() == outs[0].read_bytes()
 
@@ -853,29 +875,33 @@ def test_csv_does_not_depend_on_blas_threads(tmp_path):
     # A threaded OpenBLAS matrix-vector product splits its sums between
     # threads and rounds them differently. The simplex's vertex products
     # alpha = theta V^T, which every simplex value reads, are computed outside
-    # the BLAS, so a child at two BLAS threads writes the bytes of one at one.
+    # the BLAS, so a library run at two BLAS threads writes the bytes of one at
+    # one. The k = 2 and 3 rows check the sliced W1 projections too.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "bodies": ["simplex", "lp-ball(1.5)"], "ns": [1024], "ks": [1],
+        "bodies": ["simplex", "lp-ball(1.5)"], "ns": [1024], "ks": [1, 2, 3],
         "frames": ["haar", "walsh"], "samples": 30_000, "seeds": [5], "metrics": ["w1", "ks", "tv"],
     }))
     outs = [tmp_path / f"rows{blas_threads}.csv" for blas_threads in (1, 2)]
     for blas_threads, out in zip((1, 2), outs):
         result = run_under_address_limit(
-            f"sys.exit(main(['experiment', '--config', {str(config)!r}, '--out', {str(out)!r}]))\n",
+            LIBRARY_EXPERIMENT + f"experiment({str(config)!r}, {str(out)!r})\n",
             2.5,
             blas_threads=blas_threads,
         )
         assert result.returncode == 0, result.stderr[-2000:]
-    assert len(read_result_csv(outs[0])) == 4
+        assert ran_at_blas_threads(result, blas_threads), result.stdout
+    rows = read_result_csv(outs[0])
+    assert sorted({row.k for row in rows}) == [1, 2, 3] and len(rows) == 12
+    assert all(row.emp_w1 is not None for row in rows)
     assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
     # Groups run their blocks on one thread per CPU, and OpenBLAS (itself at
-    # two threads here) is then called from two threads at once. Each group's
-    # pass serves two ks and two frames. Two runs and a run patched to one
-    # worker must write the same bytes.
+    # two threads here, in a library run) is then called from two threads at
+    # once. Each group's pass serves two ks and two frames. Two runs and a run
+    # patched to one worker must write the same bytes.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bodies": ["product-uniform", "product-laplace"], "ns": [256, 1024], "ks": [1, 2],
@@ -883,16 +909,65 @@ def test_split_row_pass_bytes_do_not_depend_on_threads(tmp_path):
     }))
     outs = [tmp_path / f"rows{i}.csv" for i in range(3)]
     result = run_under_address_limit(
-        "import margauss.core\n"
+        LIBRARY_EXPERIMENT + "import margauss.core\n"
         f"for out in {[str(out) for out in outs]!r}:\n"
         "    if out.endswith('rows2.csv'):\n"
         "        margauss.core._cores = lambda: 1\n"
-        f"    assert main(['experiment', '--config', {str(config)!r}, '--out', out]) == 0\n",
+        f"    experiment({str(config)!r}, out)\n",
         4.0,
         blas_threads=2,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert ran_at_blas_threads(result, 2), result.stdout
     first = outs[0].read_bytes()
     assert len(read_result_csv(outs[0])) == 16
     assert outs[1].read_bytes() == first
     assert outs[2].read_bytes() == first
+
+
+def small_experiment(tmp_path) -> list[str]:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bodies": ["product-gaussian", "simplex"], "ns": [16], "ks": [1, 2], "frames": ["haar"],
+        "samples": 4_000, "seeds": [3], "metrics": ["w1", "ks"],
+    }))
+    return ["experiment", "--config", str(config), "--out", str(tmp_path / "rows.csv")]
+
+
+def test_main_runs_at_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch, capsys):
+    api = core._openblas_threads()
+    if api is None:
+        pytest.skip("numpy loaded no OpenBLAS whose thread count can be set")
+    get, put = api
+    seen, real_run_experiment = [], harness.run_experiment
+
+    def counting(*args, **kwargs):
+        seen.append(get())
+        return real_run_experiment(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        seen.append(get())
+        raise RuntimeError("failed inside the command")
+
+    original = get()
+    try:
+        put(2)
+        monkeypatch.setattr(harness, "run_experiment", counting)
+        assert run_cli(capsys, *small_experiment(tmp_path))[0] == 0
+        assert get() == 2  # restored after a return
+        monkeypatch.setattr(harness, "run_experiment", failing)
+        with pytest.raises(RuntimeError, match="inside the command"):
+            main(small_experiment(tmp_path))
+        assert get() == 2  # and after a raise
+    finally:
+        put(original)
+    assert seen == [1, 1]
+
+
+def test_main_without_openblas_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    argv = small_experiment(tmp_path)
+    assert run_cli(capsys, *argv)[0] == 0
+    capped = Path(argv[-1]).read_bytes()
+    monkeypatch.setattr(core, "_openblas_threads", lambda: None)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert Path(argv[-1]).read_bytes() == capped and len(read_result_csv(argv[-1])) == 4

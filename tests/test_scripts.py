@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/, run in-process on small inputs."""
 
 import importlib.util
+import itertools
 import json
 import re
 from pathlib import Path
@@ -95,9 +96,18 @@ def test_bench_ab_aggregates_canned_runs(monkeypatch, tmp_path, capsys):
         assert bench.compare(*rows)["wall_s"]["verdict"] == expected, expected
     assert bench.compare(before, after)["wall_s"]["verdict"] == "flat"  # lower in 4/5 alone
 
+    # Each side's medians of the CPU and steal seconds its runs took.
+    host = [{"cpu_s": cpu, "steal_s": steal} for cpu, steal in [(1.0, 0.0), (3.0, 0.5), (2.0, 0.1)]]
+    assert bench.host_medians({"before": {"w": host}, "after": {"w": host[:2]}}, "w") == {
+        "before": {"cpu_s": 2.0, "steal_s": 0.1}, "after": {"cpu_s": 2.0, "steal_s": 0.25}}
+    cpu, steal = bench.host_counters()
+    assert cpu >= 0 and steal >= 0
+
     # A run that reads incorrect or failed makes the script exit 1 once both
     # files are written, naming the run's workload, side and seed.
     bad = {("sweep-uniform", "before", 47): (True, 1), ("verify-pair", "after", 43): (False, 0)}
+    ticks = itertools.count()  # each run reads the counters before and after: 1.5 and 0.25 s
+    monkeypatch.setattr(bench, "host_counters", lambda: (1.5 * (t := next(ticks)), 0.25 * t))
 
     def run_perfbench(root, workload, seed):
         correct, failed = bad.get((workload, root, seed), (True, 0))
@@ -108,8 +118,13 @@ def test_bench_ab_aggregates_canned_runs(monkeypatch, tmp_path, capsys):
     args = ["--before", "before", "--before-tag", "b", "--after", "after", "--after-tag", "a"]
     assert bench.main(args) == 1
     assert (tmp_path / "bench" / "BENCH_b.json").exists()
-    assert (tmp_path / "bench" / "BENCH_a.json").exists()
-    assert capsys.readouterr().err.splitlines() == [
+    record = json.loads((tmp_path / "bench" / "BENCH_a.json").read_text())
+    runs = [run for w in record["workloads"].values() for run in w["runs"]]
+    assert len(runs) == 40 and all((run["cpu_s"], run["steal_s"]) == (1.5, 0.25) for run in runs)
+    captured = capsys.readouterr()
+    assert "verify-pair host medians: before cpu_s 1.500 steal_s 0.250, after cpu_s 1.500 " \
+           "steal_s 0.250" in captured.out.splitlines()
+    assert captured.err.splitlines() == [
         "failed run: sweep-uniform before seed=47: correct=True failed=1 of 24",
         "failed run: verify-pair after seed=43: correct=False failed=0 of 24",
     ]
