@@ -59,7 +59,7 @@ class BodySpec:
 
     @property
     def block(self) -> int:
-        """Points per draw block (`sample_body`): 1 MiB of their `m` coordinates."""
+        """Points per draw block (`blocks`): 1 MiB of their `m` coordinates."""
         return max(4, _BLOCK_BUDGET // self.m // 4 * 4)
 
     @cached_property
@@ -182,35 +182,40 @@ class SampleBatch:
         return self.points.shape[0]
 
 
-def sample_body(
-    spec: BodySpec,
-    stream: RandomStream,
-    count: int,
-    out: Optional[np.ndarray] = None,
-    first_block: int = 0,
-) -> SampleBatch:
-    """Draw `count` iid points from the body's isotropic distribution, in whole blocks.
-
-    Every draw of a body is made in blocks of `spec.block` points, block b
-    from its own stream `stream.block(b)`, and a block is always drawn whole.
-    So a point depends only on the stream and its position there, never on
-    the count, the thread or the pieces of a draw. The points start at block
-    `first_block`. With `out`, a (count, n) float64 array, they are written there.
-    """
+def sample_body(spec: BodySpec, stream: RandomStream, count: int) -> SampleBatch:
+    """The first `count` iid points of `stream` (draws 0..count of `blocks`), in one array."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    n, block = spec.n, spec.block
-    if out is None:
-        out = np.empty((count, n))
-    elif out.shape != (count, n):
-        raise ValueError(f"out must have shape ({count}, {n}), got {out.shape}")
-    for i, lo in enumerate(range(0, count, block)):
-        part = out[lo:lo + block]
-        whole = part if len(part) == block else np.empty((block, n))
-        _draw_block(spec, stream.block(first_block + i), whole)
-        if whole is not part:
-            part[...] = whole[: len(part)]
+    out = np.empty((count, spec.n))
+    for start, pts in blocks(spec, stream, 0, count):
+        out[start:start + len(pts)] = pts
     return SampleBatch(body=spec, points=out, seed=stream.seed, stream_id=stream.stream_id)
+
+
+def blocks(spec: BodySpec, stream: RandomStream, lo: int, hi: int, vertex_coords: bool = False):
+    """Yield (start, points) for draws lo..hi of `stream`, one block at a time.
+
+    The one block rule: every draw of a body is made in blocks of `spec.block`
+    points, block b drawn whole from its own stream `stream.block(b)`. So a
+    point depends only on the stream and its position there, never on the
+    count, the thread or the pieces of a draw. `lo` is a multiple of the
+    block; `points` holds the block's first min(block, hi - start) rows, in
+    one buffer that is reused, so it is valid until the next block is drawn.
+    With `vertex_coords` (simplex only) the rows are the points' vertex
+    coordinates (`simplex_vertex_coords`), (rows, n + 1).
+    """
+    block = spec.block
+    if lo % block:
+        raise ValueError(f"lo must be a multiple of the block {block}, got {lo}")
+    if vertex_coords and spec.kind != "simplex":
+        raise ValueError(f"vertex coordinates need the simplex, got {spec.kind!r}")
+    buf = np.empty((block, spec.m if vertex_coords else spec.n))
+    for start in range(lo, hi, block):
+        if vertex_coords:
+            simplex_vertex_coords(spec.geom, stream.block(start // block), buf)
+        else:
+            _draw_block(spec, stream.block(start // block), buf)
+        yield start, buf[: hi - start]  # the last block may be used in part
 
 
 def _draw_block(spec: BodySpec, stream: RandomStream, out: np.ndarray) -> None:
@@ -267,7 +272,7 @@ def simplex_vertex_coords(geom: SimplexGeometry, stream: RandomStream, out: np.n
     """Vertex coordinates gamma_a = <v_a, x> of one block's points, into `out` (block, n+1).
 
     `stream` is the block's stream, so the points are that block of
-    `sample_body`: with x = scale * (w @ V), <v_a, v_b> = -1/n for a != b and
+    `blocks`: with x = scale * (w @ V), <v_a, v_b> = -1/n for a != b and
     sum_b w_b = 1, gamma = scale ((n+1)/n w - 1/n). The points themselves are
     never formed; see `vertex_projection`.
     """

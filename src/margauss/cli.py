@@ -4,12 +4,13 @@ Subcommands: frames, sample, verify pair, bounds, smoothing, distance,
 experiment. Seeds given on the command line are overridden by the MG_SEED
 environment variable when it is set. A subcommand that draws reads the
 streams of sweep row 0 (`harness.row_stream`), and `verify pair`, `bounds`
-and `distance` work on row 0's PairSpec (`harness.row_spec`). Every body is
-drawn in whole blocks, each from its own stream (`bodies.sample_body`), so a
-point depends only on its stream and its position there: `sample --count c`
-writes the first c points that `verify pair` checks and `distance` and row 0
-project. Each command runs with numpy's OpenBLAS at one thread
-(`core.one_blas_thread`): `core._split` spreads its work over the cores.
+and `distance` work on row 0's PairSpec (`harness.row_spec`). Every draw of
+a body, here and in a sweep, goes through one generator of whole blocks, each
+from its own stream (`bodies.blocks`), so a point depends only on its stream
+and its position there: `sample --count c` writes, a block at a time, the
+first c points that `verify pair` checks and `distance` and row 0 project.
+Each command runs with numpy's OpenBLAS at one thread (`core.one_blas_thread`):
+`core._split` spreads its work over the cores.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
     with open(args.out, "w") as fh:  # one block in memory at a time
-        for b, lo in enumerate(range(0, args.count, spec.block)):
-            rows = min(spec.block, args.count - lo)
-            batch = bodies.sample_body(spec, stream, rows, first_block=b)
-            np.savetxt(fh, batch.points, fmt="%.17g", delimiter=",")
+        for _, pts in bodies.blocks(spec, stream, 0, args.count):
+            np.savetxt(fh, pts, fmt="%.17g", delimiter=",")
     return 0
 
 

@@ -115,9 +115,10 @@ def _split(count: int, block: int, run) -> list:
 
     min(cores, blocks) ranges, the first on the calling thread. The one rule
     by which work is split over the CPUs: a group pass's and `check_pairs`'
-    blocks of points, each drawn from its own stream (`RandomStream.block`),
-    and `w1_sliced`'s blocks of directions. Each range writes its own part,
-    so every value is the one a serial run gives, at any number of threads.
+    blocks of points, which each range draws by the block rule
+    (`bodies.blocks`: block b from its own stream), and `w1_sliced`'s blocks
+    of directions. Each range writes its own part, so every value is the one
+    a serial run gives, at any number of threads.
     This is the one level of threads of a command: every command runs it inside
     `one_blas_thread`, so each range's matrix products start no BLAS threads.
     """

@@ -40,8 +40,8 @@ METRIC_CHOICES = ("w1", "ks", "tv")
 # The stream map: sweep row idx (its position in sort order) draws each role
 # from its own substream of the row's seed, 4·idx + ROW_STREAMS[role], except
 # the points: the rows of one (body, n, seed) group share one draw, from the
-# points stream 4·g + 2 of the group's first row g, block b of it from
-# `stream.block(b)`. Every subcommand that draws reads row 0's streams, so its
+# points stream 4·g + 2 of the group's first row g, drawn in whole blocks by
+# `bodies.blocks`. Every subcommand that draws reads row 0's streams, so its
 # values are row 0's.
 ROW_STREAMS = {"frame": 0, "indices": 1, "points": 2, "directions": 3}
 

@@ -35,13 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import (
-    BodySpec,
-    SimplexGeometry,
-    sample_body,
-    simplex_vertex_coords,
-    vertex_projection,
-)
+from .bodies import BodySpec, SimplexGeometry, blocks, vertex_projection
 from .core import ConstantsConfig, RandomStream, _split, batch_mean_se, batch_var_se
 from .frames import Frame, FrameFunctionals, project
 
@@ -148,9 +142,10 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     c = len(pts)
     eye = np.eye(k)
     w = project(spec.frame, pts)
-    lin_enum, sec_enum = _enumerated_moments(spec, pts)
-    if spec.body.kind == "simplex":
-        gamma = pts @ spec.body.geom.vertices.T
+    simplex = spec.body.kind == "simplex"
+    gamma = pts @ spec.body.geom.vertices.T if simplex else None  # read by both sides
+    lin_enum, sec_enum = _enumerated_moments(spec, pts, gamma)
+    if simplex:
         s = _moment_sums(spec, np.square(gamma, out=gamma), w, np.einsum("cn,cn->c", pts, pts))
     else:
         s = _moment_sums(spec, np.square(pts), w)
@@ -160,13 +155,16 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     return ConditionalResiduals(float(lin_res), float(sec_res))
 
 
-def _enumerated_moments(spec: PairSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _enumerated_moments(
+    spec: PairSpec, pts: np.ndarray, gamma: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """E[W' - W | x] (c, k) and E[(W' - W)_i (W' - W)_j | x] (c, k, k), by listing every move.
 
-    A product body's n reflections are formed at once as (k, c, n) increments.
-    The simplex lists each transposition (a, b), a < b, once, one vertex a at
-    a time (`_vertex_sums`), in the vertex coordinates gamma (c, n+1): both
-    summands are even in (a, b), so the sums over ordered pairs are twice these.
+    A product body's n reflections are formed at once as (k, c, n) increments;
+    `gamma` is None. The simplex lists each transposition (a, b), a < b, once,
+    one vertex a at a time (`_vertex_sums`), in the points' vertex coordinates
+    gamma = pts V^T (c, n+1), which it reads and does not change: both summands
+    are even in (a, b), so the sums over ordered pairs are twice these.
     """
     rows = spec.frame.rows
     k, n = rows.shape
@@ -174,7 +172,6 @@ def _enumerated_moments(spec: PairSpec, pts: np.ndarray) -> tuple[np.ndarray, np
         d = (-2.0 * rows)[:, None, :] * pts
         return np.einsum("icn->ci", d) / n, np.einsum("icn,jcn->cij", d, d) / n
     alpha = spec.alpha
-    gamma = pts @ spec.body.geom.vertices.T
     c = len(pts)
     c2 = n / (2.0 * (n + 1))
     ordered = n * (n + 1.0)
@@ -200,9 +197,10 @@ def _vertex_sums(dg: np.ndarray, da: np.ndarray, lin_sum: np.ndarray, sec_sum: n
 
 
 def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> ConditionalResiduals:
-    """`conditional_checks` on `count` points of `stream`, drawn a whole block at a time.
+    """`conditional_checks` on the first `count` points of `stream`, a block at a time.
 
-    The blocks are split over the CPUs (`_split`); each is checked in tiles
+    The blocks (`bodies.blocks`) are split over the CPUs (`_split`), each
+    range drawn into one buffer of its own; each block is checked in tiles
     that fit in its 1 MiB: a product tile's (c, k, n) reflection increments, a
     simplex tile's (c, n+1) gamma and one vertex's (c, n+1) differences, and
     its (c, k*k) sums. A residual is the worst over all points, NaN if any
@@ -215,17 +213,14 @@ def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> Conditional
     tile = max(1, block * m // width)
     spec.products  # built, like spec.alpha, before any worker thread starts
 
-    def blocks(lo: int, hi: int) -> list:
-        buf = np.empty((block, n))  # one reused block per thread
+    def check(lo: int, hi: int) -> list:
         residuals = []
-        for start in range(lo, hi, block):
-            sample_body(spec.body, stream, block, out=buf, first_block=start // block)
-            pts = buf[: hi - start]  # the last block may be used in part
+        for _, pts in blocks(spec.body, stream, lo, hi):
             for first in range(0, len(pts), tile):
                 residuals.append(astuple(conditional_checks(pts[first:first + tile], spec)))
         return residuals
 
-    worst = np.max(np.concatenate(_split(count, block, blocks)), axis=0)
+    worst = np.max(np.concatenate(_split(count, block, check)), axis=0)
     return ConditionalResiduals(float(worst[0]), float(worst[1]))
 
 
@@ -369,13 +364,14 @@ def group_pass(
 
     Returns W (count, k) for each spec and, where its entry of `indices` is a
     stream, its pair terms. Every spec has the body of the first. The body's
-    blocks (`sample_body`) are split over the CPUs (`_split`) and drawn into
-    one buffer per thread; a sweep runs one group pass at a time, so these
-    are all the threads that draw. `stream` carries the points alone. While
-    a block is in cache, each spec projects it into its W and takes its cube
-    terms; then the block is squared in place once, and each spec reduces it
-    to E_ij by `_moment_sums` in tiles whose (t, k*k) sums fit in 1 MiB. So a
-    spec's values depend on its body, frame, `count` and streams alone.
+    blocks (`bodies.blocks`) are split over the CPUs (`_split`), each range
+    drawn into one buffer of its own; a sweep runs one group pass at a time,
+    so these are all the threads that draw. `stream` carries the points
+    alone. While a block is in cache, each spec projects it into its W and
+    takes its cube terms; then the block is squared in place once, and each
+    spec reduces it to E_ij by `_moment_sums` in tiles whose (t, k*k) sums fit
+    in 1 MiB. So a spec's values depend on its body, frame, `count` and
+    streams alone.
     Memory is one block and its sums per thread plus, for each spec,
     O(count * k + k*k * m) and with pair terms four (count,) arrays.
 
@@ -402,16 +398,11 @@ def group_pass(
     # differently, so a row's bits do not depend on where a tile starts.
     tiles = {k: min(block, max(4, block * m // k**2 // 4 * 4)) for k in {r.spec.k for r in pairs}}
 
-    def blocks(lo: int, hi: int) -> None:
+    def run(lo: int, hi: int) -> None:
         """Draw the blocks of rows lo..hi and write every spec's W and pair terms."""
-        buf = np.empty((block, m))  # one block's points, or gamma for the simplex
         sums = {k: np.empty((t, k * k)) for k, t in tiles.items()}
-        for start in range(lo, hi, block):
-            if simplex:
-                simplex_vertex_coords(body.geom, stream.block(start // block), buf)
-            else:
-                sample_body(body, stream, block, out=buf, first_block=start // block)
-            pts = buf[: hi - start]  # the last block may be used in part
+        # A block's points, or gamma for the simplex; the next block overwrites them.
+        for start, pts in blocks(body, stream, lo, hi, vertex_coords=simplex):
             for row in rows:
                 row.project_block(pts, slice(start, start + len(pts)))
             if not pairs:
@@ -421,7 +412,7 @@ def group_pass(
             for row in pairs:
                 row.reduce_block(pts, start, norm2, sums[row.spec.k])
 
-    _split(count, block, blocks)
+    _split(count, block, run)
     return [row.result() for row in rows]
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,26 +263,19 @@ def test_sample_body_count_validation():
         sample_body(BodySpec("product-uniform", 3), substream(1, 0), 0)
 
 
-@pytest.mark.parametrize(
-    "kind", ["product-uniform", "product-gaussian", "product-laplace", "simplex"]
-)
-def test_sample_body_fills_out_in_place(kind):
-    spec = BodySpec(kind, 5)
-    out = np.empty((40, 5))
-    batch = sample_body(spec, substream(35, 0), 40, out=out)
-    assert batch.points is out
-    assert np.array_equal(out, sample_body(spec, substream(35, 0), 40).points)
-    with pytest.raises(ValueError):
-        sample_body(spec, substream(35, 0), 39, out=out)
-
-
 def test_laplace_draw_is_chunk_invariant(monkeypatch):
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 600)  # blocks of 100 points at n = 6
     spec = BodySpec("product-laplace", 6)
     whole = sample_body(spec, substream(36, 0), 1_000).points
     stream = substream(36, 0)
-    parts = [sample_body(spec, stream, c, first_block=b).points for c, b in ((300, 0), (700, 3))]
+    parts = [pts.copy() for lo, hi in ((0, 300), (300, 1_000))
+             for _, pts in bodies.blocks(spec, stream, lo, hi)]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _rows(spec, stream, lo, hi):
+    """Draws lo..hi of `stream` by `bodies.blocks`, gathered in order."""
+    return np.concatenate([pts.copy() for _, pts in bodies.blocks(spec, stream, lo, hi)])
 
 
 @pytest.mark.parametrize(
@@ -295,12 +290,62 @@ def test_points_depend_on_their_position_alone(kind, monkeypatch):
     assert spec.block == 8
     whole = sample_body(spec, substream(40, 2), 37).points
     assert np.array_equal(sample_body(spec, substream(40, 2), 5).points, whole[:5])
-    assert np.array_equal(sample_body(spec, substream(40, 2), 13, first_block=3).points,
-                          whole[24:])
+    assert np.array_equal(_rows(spec, substream(40, 2), 0, 37), whole)
+    starts = [start for start, _ in bodies.blocks(spec, substream(40, 2), 24, 37)]
+    assert starts == [24, 32]
+    assert np.array_equal(_rows(spec, substream(40, 2), 24, 37), whole[24:])
     # Draws from the stream itself change no block.
     stream = substream(40, 2)
     stream.uniform(3)
-    assert np.array_equal(sample_body(spec, stream, 8, first_block=1).points, whole[8:16])
+    assert np.array_equal(_rows(spec, stream, 8, 16), whole[8:16])
+    assert np.array_equal(_rows(spec, stream, 24, 37), whole[24:])
+
+
+def test_blocks_reject_an_offset_start_and_vertex_coords_off_the_simplex(monkeypatch):
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 80)  # blocks of 8 points at n = 8
+    with pytest.raises(ValueError, match="multiple of the block 8"):
+        next(bodies.blocks(BodySpec("product-uniform", 8), substream(41, 0), 4, 16))
+    with pytest.raises(ValueError, match="vertex coordinates need the simplex"):
+        next(bodies.blocks(BodySpec("product-gaussian", 8), substream(41, 0), 0, 16,
+                           vertex_coords=True))
+    for lo, hi in ((8, 8), (16, 8), (0, 0), (0, -3)):
+        assert list(bodies.blocks(BodySpec("simplex", 8), substream(41, 0), lo, hi)) == []
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_vertex_coords_are_the_sampled_points_in_vertex_coordinates(n, monkeypatch):
+    # The sweep's simplex pass reads gamma_a = <v_a, x>; these must be the
+    # coordinates of the very points `sample_body` draws, block by block.
+    monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 40 * (n + 1))  # blocks of 40 points
+    spec = BodySpec("simplex", n)
+    assert spec.block == 40
+    count = 3 * spec.block + 7
+    pts = sample_body(spec, substream(42, n), count).points
+    gamma = [(start, g.copy())
+             for start, g in bodies.blocks(spec, substream(42, n), 0, count, vertex_coords=True)]
+    assert [start for start, _ in gamma] == [0, 40, 80, 120]
+    gamma = np.concatenate([g for _, g in gamma])
+    assert gamma.shape == (count, n + 1)
+    assert np.max(np.abs(gamma - pts @ spec.geom.vertices.T)) < 1e-12
+
+
+def test_only_bodies_applies_the_block_rule():
+    # `bodies.blocks` is the one owner of the rule "block b from stream.block(b)":
+    # a loop elsewhere that builds block streams itself would re-derive it.
+    src = Path(bodies.__file__).parent
+    calls, named = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if "first_block" in text:
+            named.append(path.name)
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "block"
+                    and not (isinstance(node.func.value, ast.Name)
+                             and node.func.value.id in ("np", "numpy"))):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls and all(call.startswith("bodies.py:") for call in calls), calls
+    assert named == []
 
 
 @pytest.mark.parametrize("n, block", [(1, 131_072), (16, 8_192), (1023, 128), (1024, 128),

@@ -75,17 +75,16 @@ def test_verify_pair_fails_on_a_nan_residual(capsys, monkeypatch):
     # 9 points are drawn as 3 whole blocks of 4 (n = 8), and only the middle one has NaN.
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 4 * 8)
     monkeypatch.setattr(core, "_cores", lambda: 1)  # draw the blocks in order
-    draw = stein.sample_body
+    draw = bodies._draw_block
     tiles = []
 
-    def nan_in_the_middle_tile(*args, **kwargs):
-        batch = draw(*args, **kwargs)
-        tiles.append(len(batch.points))
+    def nan_in_the_middle_tile(spec, stream, out):
+        draw(spec, stream, out)
+        tiles.append(len(out))
         if len(tiles) == 2:
-            batch.points[1] = np.nan
-        return batch
+            out[1] = np.nan
 
-    monkeypatch.setattr(stein, "sample_body", nan_in_the_middle_tile)
+    monkeypatch.setattr(bodies, "_draw_block", nan_in_the_middle_tile)
     code, out = run_cli(
         capsys, "verify", "pair", "--body", "product-uniform", "--n", "8", "--k", "2",
         "--frame", "haar", "--samples", "9", "--seed", "3",
@@ -101,17 +100,16 @@ def test_verify_pair_fails_on_a_nan_in_a_worker_tile(capsys, monkeypatch):
     # block and a worker the other two, the first of which gets a NaN.
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 4 * 8)
     monkeypatch.setattr(core, "_cores", lambda: 2)
-    draw = stein.sample_body
+    draw = bodies._draw_block
     poisoned = []
 
-    def nan_off_the_main_thread(*args, **kwargs):
-        batch = draw(*args, **kwargs)
+    def nan_off_the_main_thread(spec, stream, out):
+        draw(spec, stream, out)
         if threading.current_thread() is not threading.main_thread() and not poisoned:
-            batch.points[2] = np.nan
+            out[2] = np.nan
             poisoned.append(True)
-        return batch
 
-    monkeypatch.setattr(stein, "sample_body", nan_off_the_main_thread)
+    monkeypatch.setattr(bodies, "_draw_block", nan_off_the_main_thread)
     code, out = run_cli(
         capsys, "verify", "pair", "--body", "product-uniform", "--n", "8", "--k", "2",
         "--frame", "haar", "--samples", "9", "--seed", "3",
@@ -298,16 +296,14 @@ def test_distance_reproduces_sweep_row_0(capsys, metric, body, n, k, frame):
 def test_distance_samples_apart_from_the_frame_stream(capsys, monkeypatch):
     # The Haar frame orthonormalises the first Gaussian rows of stream 0; the
     # sample must come from another stream, so it is not one of those rows.
-    from margauss import stein
-
+    draw = bodies._draw_block
     drawn = []
 
-    def recording(*args, **kwargs):
-        batch = bodies.sample_body(*args, **kwargs)
-        drawn.append(batch.points.copy())
-        return batch
+    def recording(spec, stream, out):
+        draw(spec, stream, out)
+        drawn.append(out.copy())
 
-    monkeypatch.setattr(stein, "sample_body", recording)
+    monkeypatch.setattr(bodies, "_draw_block", recording)
     code, out = run_cli(
         capsys, "distance", "--metric", "w1", "--body", "product-gaussian", "--n", "8",
         "--k", "2", "--frame", "haar", "--samples", "1000", "--seed", "5",

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from margauss import bodies, core, harness, stein
-from margauss.bodies import BodySpec, sample_body
+from margauss import bodies, core, harness
+from margauss.bodies import BodySpec
 from margauss.core import substream
 from margauss.frames import build_frame, project, walsh_frame
 from margauss.harness import (
@@ -264,9 +264,8 @@ def test_metrics_sample_stitched_across_chunks():
     stream = substream(1, 2)
     parts = []
     for start in range(0, count, chunk):
-        c = min(chunk, count - start)
-        pts = sample_body(body, stream, c, first_block=start // body.block).points
-        parts.append(project(walsh_frame(n, 1), pts))
+        for _, pts in bodies.blocks(body, stream, start, min(start + chunk, count)):
+            parts.append(project(walsh_frame(n, 1), pts))
     full = w1_1d(np.concatenate(parts)[:, 0])
     assert row.N == count
     assert row.emp_w1 == pytest.approx(full.value, abs=1e-12)
@@ -283,25 +282,18 @@ def test_row_draws_each_body_element_once(body, n, ks, frames, monkeypatch):
     drawn = []
 
     def counting(fn, count_of):
-        def wrapped(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            drawn.append(count_of(result))
-            return result
+        def wrapped(spec_or_geom, stream, out):
+            fn(spec_or_geom, stream, out)
+            drawn.append(count_of(out))
+            return out
 
         return wrapped
 
-    for module in (harness, stein):
-        if hasattr(module, "sample_body"):
-            monkeypatch.setattr(
-                module, "sample_body", counting(bodies.sample_body, lambda r: r.points.size)
-            )
-        if hasattr(module, "simplex_vertex_coords"):
-            # gamma has n+1 vertex coordinates per n-dimensional point.
-            monkeypatch.setattr(
-                module,
-                "simplex_vertex_coords",
-                counting(bodies.simplex_vertex_coords, lambda g: g.shape[0] * n),
-            )
+    # `bodies.blocks` draws every block of a pass through one of these two.
+    monkeypatch.setattr(bodies, "_draw_block", counting(bodies._draw_block, np.size))
+    # gamma has n+1 vertex coordinates per n-dimensional point.
+    monkeypatch.setattr(bodies, "simplex_vertex_coords",
+                        counting(bodies.simplex_vertex_coords, lambda g: g.shape[0] * n))
     count = 20_000
     config = small_config(bodies=(body,), ns=(n,), ks=ks, frames=frames, samples=count)
     rows = run_experiment(config)

@@ -205,8 +205,12 @@ def test_enumerated_moments_match_explicit_moves(kind, n, k):
     # for the simplex, each transposition once equals every ordered pair.
     spec = make_spec(kind, n, k, seed=10 * n + k)
     pts = sample_body(spec.body, substream(50, 10 * n + k), 4).points
-    lin, sec = stein._enumerated_moments(spec, pts)
+    gamma = pts @ spec.body.geom.vertices.T if kind == "simplex" else None
+    gamma_before = None if gamma is None else gamma.copy()
+    lin, sec = stein._enumerated_moments(spec, pts, gamma)
     assert lin.shape == (4, k) and sec.shape == (4, k, k)
+    if gamma is not None:  # conditional_checks squares this gamma for the closed form next
+        assert np.array_equal(gamma, gamma_before)
     for c, x in enumerate(pts):
         lin_x, sec_x = explicit_moments(spec, x)
         np.testing.assert_allclose(lin[c], lin_x, rtol=0, atol=1e-12)
@@ -566,10 +570,11 @@ def test_row_pass_worker_error_reaches_the_caller(monkeypatch):
     def fail_off_main_thread(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("worker failed")
-        return sample_body(*args, **kwargs)
+        return draw(*args, **kwargs)
 
+    draw = bodies._draw_block
     monkeypatch.setattr(core, "_cores", lambda: 2)
-    monkeypatch.setattr(stein, "sample_body", fail_off_main_thread)
+    monkeypatch.setattr(bodies, "_draw_block", fail_off_main_thread)
     spec = make_spec("product-uniform", 1024, 1, seed=61)
     with pytest.raises(RuntimeError, match="worker failed"):
         row_pass(spec, 1_000, substream(62, 0))
