@@ -274,23 +274,14 @@ def simplex_vertex_coords(geom: SimplexGeometry, stream: RandomStream, out: np.n
     `stream` is the block's stream, so the points are that block of
     `blocks`: with x = scale * (w @ V), <v_a, v_b> = -1/n for a != b and
     sum_b w_b = 1, gamma = scale ((n+1)/n w - 1/n). The points themselves are
-    never formed; see `vertex_projection`.
+    never formed: `stein.PairSpec.project` reads W from gamma, and the pass
+    reads |x|^2 = n/(n+1) |gamma|^2 (`stein._vertex_norm2`).
     """
     n = geom.n
     gamma = _simplex_weights(n, stream, len(out), out)
     gamma *= geom.scale * (n + 1.0) / n
     gamma -= geom.scale / n
     return gamma
-
-
-def vertex_projection(gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """W_i = <theta_i, x>, (count, k), from vertex coordinates.
-
-    gamma (count, n+1) holds <v_a, x> and alpha (k, n+1) holds <theta_i, v_a>;
-    the tight frame sum_a <x, v_a> v_a = ((n+1)/n) x gives W = n/(n+1) gamma alpha^T.
-    """
-    n = gamma.shape[1] - 1
-    return (n / (n + 1.0)) * (gamma @ alpha.T)
 
 
 def _sample_lp_ball(n: int, p: float, stream: RandomStream, count: int) -> np.ndarray:
@@ -328,13 +319,11 @@ def isotropy_report(batch: SampleBatch) -> IsotropyReport:
     mean = pts.mean(axis=0)
     mean_se = pts.std(axis=0, ddof=1) / math.sqrt(count)
     second = pts.T @ pts / count
-    prod_sd = np.empty((n, n))
-    for i in range(n):
-        prods = pts * pts[:, i][:, None]
-        prod_sd[i] = prods.std(axis=0, ddof=1)
-    second_se = prod_sd / math.sqrt(count)
+    # The sd of each product x_i x_j over the sample: sum (x_i x_j)^2 = (sq^T sq)_ij.
+    sq = np.square(pts)
+    second_se = np.sqrt((sq.T @ sq - count * second**2) / (count - 1)) / math.sqrt(count)
     cov_dev = np.abs(second - np.eye(n))
-    norm2 = np.sum(pts**2, axis=1)
+    norm2 = np.sum(sq, axis=1)
     norm2_se = norm2.std(ddof=1) / math.sqrt(count)
     mean_z = np.abs(mean) / mean_se
     cov_z = cov_dev / second_se

@@ -19,11 +19,11 @@ sum_a alpha_ia = 0 and the tight frame sum_a <y, v_a> v_a = ((n+1)/n) y give
     sum_{a<b} <theta_i, u_ab><theta_j, u_ab> (u_ab . x)^2
         = (c^4/2) [2(n+1) sum_a alpha_ia alpha_ja gamma_a^2 + 2r delta_ij |x|^2 + 4r W_i W_j],
 
-so E_ij costs O(n k^2) per point instead of O(n^2 k). Each body has one closed
-form of E_ij, `_moment_sums`, which `group_pass` and `conditional_checks` both call.
-Only `conditional_checks` lists the moves, to check that closed form: every
-reflection, and each transposition once (a < b), since both summands are even
-in (a, b).
+so E_ij costs O(n k^2) per point instead of O(n^2 k). `group_pass` and `conditional_checks`
+share each step to E_ij: W (`PairSpec.project`), the simplex's |x|^2 (`_vertex_norm2`), the
+sums s (`_moment_sums`) and E = (4/n)(s - I) (`_e_from_sums`). Only `conditional_checks` lists
+the moves, to check them: every reflection, and each transposition once (a < b), since both
+summands are even in (a, b).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import BodySpec, SimplexGeometry, blocks, vertex_projection
+from .bodies import BodySpec, SimplexGeometry, blocks
 from .core import ConstantsConfig, RandomStream, _split, batch_mean_se, batch_var_se
 from .frames import Frame, FrameFunctionals, project
 
@@ -90,6 +90,13 @@ class PairSpec:
         alpha = self.alpha
         return (alpha[:, None, :] * alpha[None, :, :]).reshape(self.k * self.k, -1)
 
+    def project(self, coords: np.ndarray) -> np.ndarray:
+        """W (c, k) of a block as a pass reads it: a product body's points, or the simplex's
+        gamma (c, n+1), where sum_a <x, v_a> v_a = ((n+1)/n) x gives W = n/(n+1) gamma alpha^T."""
+        if self.body.kind == "simplex":
+            return (self.n / (self.n + 1.0)) * (coords @ self.alpha.T)
+        return project(self.frame, coords)
+
 
 def reflect_pair(x: np.ndarray, index: int, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-hyperplane reflection coupling: W'_i = W_i - 2 theta_i^I x_I."""
@@ -123,10 +130,9 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
 
     Averages the increment (and its outer square) exactly over all n
     reflection indices, or all vertex transpositions, and compares against
-    -lambda W and 2 lambda I + E_ij(x), with E_ij from `_moment_sums`, the
-    closed form behind the sweep's pair terms. The enumeration
-    (`_enumerated_moments`) visits each transposition once, in vertex
-    coordinates.
+    -lambda W and 2 lambda I + E_ij(x), with W and E_ij from the steps of `group_pass`,
+    run on the block the pass would read: x, or the simplex's gamma = x V^T. The
+    enumeration (`_enumerated_moments`) visits each transposition once. x is not changed.
 
     Each residual is the worst over the batch: the largest entry of any
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
@@ -139,40 +145,35 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"x must be one point ({n},) or a batch (c, {n}), got shape {x.shape}")
-    c = len(pts)
-    eye = np.eye(k)
-    w = project(spec.frame, pts)
     simplex = spec.body.kind == "simplex"
-    gamma = pts @ spec.body.geom.vertices.T if simplex else None  # read by both sides
-    lin_enum, sec_enum = _enumerated_moments(spec, pts, gamma)
-    if simplex:
-        s = _moment_sums(spec, np.square(gamma, out=gamma), w, np.einsum("cn,cn->c", pts, pts))
-    else:
-        s = _moment_sums(spec, np.square(pts), w)
-    e_closed = (4.0 / n) * (s.reshape(c, k, k) - eye)
+    coords = pts @ spec.body.geom.vertices.T if simplex else pts  # read by both sides
+    w = spec.project(coords)
+    lin_enum, sec_enum = _enumerated_moments(spec, coords)
+    norm2 = _vertex_norm2(coords) if simplex else None
+    # Squared as the pass squares its block, but a product body's coords are x itself.
+    sq = np.square(coords, out=coords if simplex else None)
+    e_closed = _e_from_sums(spec, _moment_sums(spec, sq, w, norm2)).reshape(len(pts), k, k)
     lin_res = np.max(np.abs(lin_enum + spec.lam * w), initial=0.0)
-    sec_res = np.max(np.abs(sec_enum - (2.0 * spec.lam * eye + e_closed)), initial=0.0)
+    sec_res = np.max(np.abs(sec_enum - (2.0 * spec.lam * np.eye(k) + e_closed)), initial=0.0)
     return ConditionalResiduals(float(lin_res), float(sec_res))
 
 
-def _enumerated_moments(
-    spec: PairSpec, pts: np.ndarray, gamma: Optional[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def _enumerated_moments(spec: PairSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E[W' - W | x] (c, k) and E[(W' - W)_i (W' - W)_j | x] (c, k, k), by listing every move.
 
-    A product body's n reflections are formed at once as (k, c, n) increments;
-    `gamma` is None. The simplex lists each transposition (a, b), a < b, once,
-    one vertex a at a time (`_vertex_sums`), in the points' vertex coordinates
-    gamma = pts V^T (c, n+1), which it reads and does not change: both summands
-    are even in (a, b), so the sums over ordered pairs are twice these.
+    `coords` is the block as the pass reads it, and is not changed. A product
+    body's coords are the points, and its n reflections are formed at once as
+    (k, c, n) increments. The simplex's are the vertex coordinates gamma = x V^T
+    (c, n+1), and it lists each transposition (a, b), a < b, once, one vertex a
+    at a time (`_vertex_sums`): both summands are even in (a, b), so the sums
+    over ordered pairs are twice these.
     """
     rows = spec.frame.rows
     k, n = rows.shape
     if spec.body.kind != "simplex":
-        d = (-2.0 * rows)[:, None, :] * pts
+        d = (-2.0 * rows)[:, None, :] * coords
         return np.einsum("icn->ci", d) / n, np.einsum("icn,jcn->cij", d, d) / n
-    alpha = spec.alpha
-    c = len(pts)
+    alpha, gamma, c = spec.alpha, coords, len(coords)
     c2 = n / (2.0 * (n + 1))
     ordered = n * (n + 1.0)
     # Edge (a, b): u_ab . x = sqrt(c2) (gamma_a - gamma_b), <theta_i, u_ab> likewise from alpha.
@@ -243,6 +244,19 @@ def _moment_sums(spec: PairSpec, sq: np.ndarray, w: np.ndarray, norm2=None, out=
     return s
 
 
+def _vertex_norm2(gamma: np.ndarray) -> np.ndarray:
+    """|x|^2 (c,) of simplex points from their gamma (c, n+1): n/(n+1) |gamma|^2."""
+    n = gamma.shape[1] - 1
+    return (n / (n + 1.0)) * np.einsum("ca,ca->c", gamma, gamma)
+
+
+def _e_from_sums(spec: PairSpec, s: np.ndarray) -> np.ndarray:
+    """E_ij = (4/n) (s_ij - delta_ij) of the sums s (c, k*k) of `_moment_sums`, formed in s."""
+    s[:, :: spec.k + 1] -= 1.0
+    s *= 4.0 / spec.n
+    return s
+
+
 def _edge_vertices(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Map linear indices of np.triu_indices(m, k=1) to their vertex pairs (a, b)."""
     a = np.arange(m - 1)
@@ -302,12 +316,11 @@ class _RowTerms:
     def project_block(self, pts: np.ndarray, part: slice) -> None:
         """Write W of a block and, with pair terms, its cube terms; pts is still unsquared."""
         spec = self.spec
-        simplex = spec.body.kind == "simplex"
-        self.w[part] = vertex_projection(pts, spec.alpha) if simplex else project(spec.frame, pts)
+        self.w[part] = spec.project(pts)
         if not self.pairs:
             return
         r = np.arange(len(pts))
-        if simplex:
+        if spec.body.kind == "simplex":
             n, alpha = spec.n, spec.alpha
             edge_coef = math.sqrt(n / (2.0 * (n + 1.0)))
             ta, tb = self.a[part], self.b[part]
@@ -320,16 +333,14 @@ class _RowTerms:
 
     def reduce_block(self, sq: np.ndarray, start: int, norm2, out: np.ndarray) -> None:
         """E_ij of a block's squares (rows start..), reduced t rows at a time in `out` (t, k*k)."""
-        n, k = self.spec.n, self.spec.k
         for lo in range(0, len(sq), len(out)):
             hi = min(lo + len(out), len(sq))
             part = slice(start + lo, start + hi)
             e = _moment_sums(self.spec, sq[lo:hi], self.w[part],
                              None if norm2 is None else norm2[lo:hi], out=out[: hi - lo])
             if self.cond_second is not None:
-                self.cond_second[part] = (4.0 / n) * e[:, 0]
-            e[:, :: k + 1] -= 1.0  # E_ij = (4/n) (s - delta_ij), formed in place
-            e *= 4.0 / n
+                self.cond_second[part] = (4.0 / self.spec.n) * e[:, 0]
+            e = _e_from_sums(self.spec, e)
             self.frob[part] = np.sqrt(np.sum(np.square(e, out=e), axis=1))
 
     def result(self) -> tuple[np.ndarray, Optional[PairStatistics]]:
@@ -369,9 +380,8 @@ def group_pass(
     so these are all the threads that draw. `stream` carries the points
     alone. While a block is in cache, each spec projects it into its W and
     takes its cube terms; then the block is squared in place once, and each
-    spec reduces it to E_ij by `_moment_sums` in tiles whose (t, k*k) sums fit
-    in 1 MiB. So a spec's values depend on its body, frame, `count` and
-    streams alone.
+    spec reduces it to E_ij (`_moment_sums`, `_e_from_sums`) in tiles whose (t, k*k) sums
+    fit in 1 MiB. So a spec's values depend on its body, frame, `count` and streams alone.
     Memory is one block and its sums per thread plus, for each spec,
     O(count * k + k*k * m) and with pair terms four (count,) arrays.
 
@@ -392,7 +402,7 @@ def group_pass(
     rows = [_RowTerms(spec, count, ix) for spec, ix in zip(specs, indices, strict=True)]
     pairs = [row for row in rows if row.pairs]
     simplex = body.kind == "simplex"
-    n, m, block = body.n, body.m, body.block  # gamma holds one coordinate per simplex vertex
+    m, block = body.m, body.block  # gamma holds one coordinate per simplex vertex
     # Blocks and tiles hold a multiple of 4 rows: BLAS matrix-vector kernels
     # take rows in groups of four and round an operand's last 1-3 rows
     # differently, so a row's bits do not depend on where a tile starts.
@@ -407,7 +417,7 @@ def group_pass(
                 row.project_block(pts, slice(start, start + len(pts)))
             if not pairs:
                 continue
-            norm2 = (n / (n + 1.0)) * np.einsum("ca,ca->c", pts, pts) if simplex else None
+            norm2 = _vertex_norm2(pts) if simplex else None
             np.square(pts, out=pts)
             for row in pairs:
                 row.reduce_block(pts, start, norm2, sums[row.spec.k])

@@ -170,6 +170,30 @@ def test_isotropy_negative_control():
     assert not isotropy_report(batch).passed
 
 
+@pytest.mark.parametrize("scale", [2.0 * math.sqrt(3.0), 1.0])  # isotropic, then too narrow
+def test_isotropy_report_matches_the_product_loop(scale):
+    # The reference forms each coordinate's products x_i x_j and their sd in turn.
+    raw = substream(28, 0).uniform((4_000, 24)) - 0.5
+    batch = SampleBatch(body=BodySpec("product-uniform", 24), points=raw * scale, seed=28,
+                        stream_id=0)
+    pts, count, n = batch.points, batch.count, batch.points.shape[1]
+    mean = pts.mean(axis=0)
+    mean_z = np.abs(mean) / (pts.std(axis=0, ddof=1) / math.sqrt(count))
+    prod_sd = np.array([(pts * pts[:, i][:, None]).std(axis=0, ddof=1) for i in range(n)])
+    cov_dev = np.abs(pts.T @ pts / count - np.eye(n))
+    cov_z = cov_dev / (prod_sd / math.sqrt(count))
+    norm2 = np.sum(pts**2, axis=1)
+    norm2_se = norm2.std(ddof=1) / math.sqrt(count)
+    max_z = max(mean_z.max(), cov_z.max(), abs(norm2.mean() - n) / norm2_se)
+    report = isotropy_report(batch)
+    expected = {"max_mean_dev": np.abs(mean).max(), "max_mean_z": mean_z.max(),
+                "max_cov_dev": cov_dev.max(), "max_cov_z": cov_z.max(),
+                "norm2_mean": norm2.mean(), "norm2_se": norm2_se}
+    for field, value in expected.items():
+        assert getattr(report, field) == pytest.approx(value, rel=1e-12, abs=0), field
+    assert report.passed == bool(max_z <= 4.0) == (scale > 1.0)
+
+
 def test_klartag_variance_gaussian_matches_analytic():
     spec = BodySpec("product-gaussian", 16)
     a = substream(27, 0).normal(16)

@@ -133,29 +133,53 @@ def test_conditional_checks_exact(kind, n, k):
 
 @pytest.mark.parametrize("kind", ["product-uniform", "simplex"])
 def test_checks_and_pair_terms_share_one_closed_form(kind, monkeypatch):
-    # Shifting the closed form's sums s by eps moves every E_ij by 4 eps / n:
-    # the check must report that as its residual, and the sweep's term_E must
-    # move with it, so the check covers the code behind bound_*_cor.
+    # Each step from a block to E_ij is one function that the check and the
+    # sweep's pass both call. Shifting a step's output by eps must show on both
+    # sides: as the check's residual, and in the pass's W or term_E. So the
+    # check covers the code behind bound_*_cor.
     n, k, eps = 16, 2, 1e-3
     spec = make_spec(kind, n, k, seed=63)
     pts = sample_body(spec.body, substream(64, n), 25).points
 
+    def pass_w():
+        return row_pass(spec, 10_000, substream(65, n))[0]
+
     def term_e():
         return estimate_pair_terms(spec, 10_000, substream(65, n), substream(65, 1000)).term_E
 
-    before = term_e()
-    closed_form = stein._moment_sums
+    def shifted(step):
+        return lambda *args, **kwargs: step(*args, **kwargs) + eps
 
-    def shifted(*args, **kwargs):
-        s = closed_form(*args, **kwargs)
-        s += eps
-        return s
+    w_before, e_before = pass_w(), term_e()
+    with monkeypatch.context() as m:  # W moves by eps, so E[W' - W | x] + lambda W by lambda eps
+        m.setattr(PairSpec, "project", shifted(PairSpec.project))
+        assert conditional_checks(pts, spec).linearity_residual == pytest.approx(
+            spec.lam * eps, rel=1e-9)
+        np.testing.assert_allclose(pass_w() - w_before, eps, rtol=0, atol=1e-12)
+    # Shifting the sums s moves every E_ij by 4 eps / n, and shifting E_ij moves
+    # it by eps. The simplex's |x|^2 enters s_ii as |x|^2 / (2 (n + 1)), so
+    # shifting it moves E_ii by 2 eps / (n (n + 1)).
+    steps = [("_moment_sums", 4.0 * eps / n), ("_e_from_sums", eps)]
+    if kind == "simplex":
+        steps.append(("_vertex_norm2", 2.0 * eps / (n * (n + 1))))
+    for name, residual in steps:
+        with monkeypatch.context() as m:
+            m.setattr(stein, name, shifted(getattr(stein, name)))
+            res = conditional_checks(pts, spec)
+            assert res.linearity_residual < RESIDUAL_TOL
+            assert res.second_moment_residual == pytest.approx(residual, rel=1e-9)
+            assert abs(term_e() - e_before) > 1e-6 * e_before
 
-    monkeypatch.setattr(stein, "_moment_sums", shifted)
-    res = conditional_checks(pts, spec)
-    assert res.linearity_residual < RESIDUAL_TOL
-    assert res.second_moment_residual == pytest.approx(4.0 * eps / n, rel=1e-9)
-    assert abs(term_e() - before) > 1e-6 * before
+
+@pytest.mark.parametrize("kind", ["product-uniform", "simplex"])
+def test_conditional_checks_leave_their_input_unchanged(kind):
+    # The closed form squares the block it reads; a product body's block is x itself.
+    spec = make_spec(kind, 8, 2, seed=66)
+    pts = sample_body(spec.body, substream(67, 8), 5).points
+    before = pts.copy()
+    for x in (pts[2], pts):
+        conditional_checks(x, spec)
+        assert np.array_equal(pts, before)
 
 
 def test_conditional_checks_zero_point():
@@ -207,7 +231,7 @@ def test_enumerated_moments_match_explicit_moves(kind, n, k):
     pts = sample_body(spec.body, substream(50, 10 * n + k), 4).points
     gamma = pts @ spec.body.geom.vertices.T if kind == "simplex" else None
     gamma_before = None if gamma is None else gamma.copy()
-    lin, sec = stein._enumerated_moments(spec, pts, gamma)
+    lin, sec = stein._enumerated_moments(spec, pts if gamma is None else gamma)
     assert lin.shape == (4, k) and sec.shape == (4, k, k)
     if gamma is not None:  # conditional_checks squares this gamma for the closed form next
         assert np.array_equal(gamma, gamma_before)
