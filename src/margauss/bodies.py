@@ -54,12 +54,12 @@ class BodySpec:
 
     @property
     def m(self) -> int:
-        """Coordinates per point: n, or one per vertex, n + 1, for the simplex."""
+        """Columns of a block (`blocks`): n, or the simplex's n + 1 vertex coordinates."""
         return self.n + 1 if self.kind == "simplex" else self.n
 
     @property
     def block(self) -> int:
-        """Points per draw block (`blocks`): 1 MiB of their `m` coordinates."""
+        """Draws per block (`blocks`): 1 MiB of their `m` columns."""
         return max(4, _BLOCK_BUDGET // self.m // 4 * 4)
 
     @cached_property
@@ -183,43 +183,50 @@ class SampleBatch:
 
 
 def sample_body(spec: BodySpec, stream: RandomStream, count: int) -> SampleBatch:
-    """The first `count` iid points of `stream` (draws 0..count of `blocks`), in one array."""
+    """The first `count` iid points of `stream`, `to_points` of draws 0..count of `blocks`."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.empty((count, spec.n))
-    for start, pts in blocks(spec, stream, 0, count):
-        out[start:start + len(pts)] = pts
+    for start, block in blocks(spec, stream, 0, count):
+        out[start:start + len(block)] = to_points(spec, block)
     return SampleBatch(body=spec, points=out, seed=stream.seed, stream_id=stream.stream_id)
 
 
-def blocks(spec: BodySpec, stream: RandomStream, lo: int, hi: int, vertex_coords: bool = False):
-    """Yield (start, points) for draws lo..hi of `stream`, one block at a time.
+def to_points(spec: BodySpec, block: np.ndarray) -> np.ndarray:
+    """The points (c, n) of a block of `blocks`: the block, or the simplex's from its gamma
+    (c, n+1) by the tight frame, x = n/(n+1) sum_a gamma_a v_a, in einsum's own loop: a BLAS
+    product rounds a block's last rows differently, so a point's bits would depend on the
+    rows drawn with it."""
+    if spec.kind != "simplex":
+        return block
+    pts = np.einsum("ca,an->cn", block, spec.geom.vertices, optimize=False)
+    pts *= spec.n / (spec.n + 1.0)
+    return pts
+
+
+def blocks(spec: BodySpec, stream: RandomStream, lo: int, hi: int):
+    """Yield (start, block) for draws lo..hi of `stream`, one block at a time.
 
     The one block rule: every draw of a body is made in blocks of `spec.block`
-    points, block b drawn whole from its own stream `stream.block(b)`. So a
-    point depends only on the stream and its position there, never on the
+    draws, block b drawn whole from its own stream `stream.block(b)`. So a
+    draw depends only on the stream and its position there, never on the
     count, the thread or the pieces of a draw. `lo` is a multiple of the
-    block; `points` holds the block's first min(block, hi - start) rows, in
+    block; `block` holds the block's first min(block, hi - start) rows, in
     one buffer that is reused, so it is valid until the next block is drawn.
-    With `vertex_coords` (simplex only) the rows are the points' vertex
-    coordinates (`simplex_vertex_coords`), (rows, n + 1).
+    A row is a point, or the simplex's vertex coordinates (`simplex_vertex_coords`),
+    (rows, n + 1); `to_points` turns a block into points.
     """
     block = spec.block
     if lo % block:
         raise ValueError(f"lo must be a multiple of the block {block}, got {lo}")
-    if vertex_coords and spec.kind != "simplex":
-        raise ValueError(f"vertex coordinates need the simplex, got {spec.kind!r}")
-    buf = np.empty((block, spec.m if vertex_coords else spec.n))
+    buf = np.empty((block, spec.m))
     for start in range(lo, hi, block):
-        if vertex_coords:
-            simplex_vertex_coords(spec.geom, stream.block(start // block), buf)
-        else:
-            _draw_block(spec, stream.block(start // block), buf)
+        _draw_block(spec, stream.block(start // block), buf)
         yield start, buf[: hi - start]  # the last block may be used in part
 
 
 def _draw_block(spec: BodySpec, stream: RandomStream, out: np.ndarray) -> None:
-    """Write one block of points, drawn from the block's own stream, into `out`."""
+    """Write one block (block, m), drawn from the block's own stream, into `out`."""
     if spec.kind == "product-uniform":
         stream.uniform(out=out)
         out -= 0.5  # exact on [0, 1), as is 2 fl(sqrt 3): one rounding, as in (2u - 1) sqrt 3
@@ -231,8 +238,7 @@ def _draw_block(spec: BodySpec, stream: RandomStream, out: np.ndarray) -> None:
     elif spec.kind == "lp-ball":
         out[...] = _sample_lp_ball(spec.n, spec.p, stream, len(out))
     else:
-        np.matmul(_simplex_weights(spec.n, stream, len(out)), spec.geom.vertices, out=out)
-        out *= spec.geom.scale
+        simplex_vertex_coords(spec.geom, stream, out)
 
 
 def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
@@ -255,30 +261,19 @@ def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _simplex_weights(
-    n: int, stream: RandomStream, count: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Barycentric weights, (count, n+1), of `count` uniform points of the simplex.
-
-    Normalized iid exponentials are Dirichlet(1, ..., 1); the point is
-    scale * (weights @ vertices). This is the only simplex draw.
-    """
-    weights = stream.exponential((count, n + 1), out=out)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights
-
-
 def simplex_vertex_coords(geom: SimplexGeometry, stream: RandomStream, out: np.ndarray):
-    """Vertex coordinates gamma_a = <v_a, x> of one block's points, into `out` (block, n+1).
+    """Vertex coordinates gamma_a = <v_a, x> of one block of uniform simplex points, drawn
+    from the block's stream, into `out` (block, n+1): the only simplex draw.
 
-    `stream` is the block's stream, so the points are that block of
-    `blocks`: with x = scale * (w @ V), <v_a, v_b> = -1/n for a != b and
-    sum_b w_b = 1, gamma = scale ((n+1)/n w - 1/n). The points themselves are
-    never formed: `stein.PairSpec.project` reads W from gamma, and the pass
-    reads |x|^2 = n/(n+1) |gamma|^2 (`stein._vertex_norm2`).
+    Normalized iid exponentials w are Dirichlet(1, ..., 1), the barycentric weights of
+    x = scale * (w @ V); with <v_a, v_b> = -1/n for a != b and sum_b w_b = 1,
+    gamma = scale ((n+1)/n w - 1/n). x itself is not formed: `stein.PairSpec.project`
+    reads W from gamma, the pass reads |x|^2 = n/(n+1) |gamma|^2 (`stein._vertex_norm2`),
+    and `to_points` forms x for the callers that want it.
     """
     n = geom.n
-    gamma = _simplex_weights(n, stream, len(out), out)
+    gamma = stream.exponential((len(out), n + 1), out=out)
+    gamma /= gamma.sum(axis=1, keepdims=True)
     gamma *= geom.scale * (n + 1.0) / n
     gamma -= geom.scale / n
     return gamma

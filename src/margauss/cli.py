@@ -7,8 +7,8 @@ streams of sweep row 0 (`harness.row_stream`), and `verify pair`, `bounds`
 and `distance` work on row 0's PairSpec (`harness.row_spec`). Every draw of
 a body, here and in a sweep, goes through one generator of whole blocks, each
 from its own stream (`bodies.blocks`), so a point depends only on its stream
-and its position there: `sample --count c` writes, a block at a time, the
-first c points that `verify pair` checks and `distance` and row 0 project.
+and its position there: `sample --count c` writes the points (`bodies.to_points`)
+of the first c rows that `verify pair` checks and `distance` and row 0 project.
 Each command runs with numpy's OpenBLAS at one thread (`core.one_blas_thread`):
 `core._split` spreads its work over the cores.
 """
@@ -48,8 +48,8 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
     with open(args.out, "w") as fh:  # one block in memory at a time
-        for _, pts in bodies.blocks(spec, stream, 0, args.count):
-            np.savetxt(fh, pts, fmt="%.17g", delimiter=",")
+        for _, block in bodies.blocks(spec, stream, 0, args.count):
+            np.savetxt(fh, bodies.to_points(spec, block), fmt="%.17g", delimiter=",")
     return 0
 
 

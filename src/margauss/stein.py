@@ -20,8 +20,9 @@ sum_a alpha_ia = 0 and the tight frame sum_a <y, v_a> v_a = ((n+1)/n) y give
         = (c^4/2) [2(n+1) sum_a alpha_ia alpha_ja gamma_a^2 + 2r delta_ij |x|^2 + 4r W_i W_j],
 
 so E_ij costs O(n k^2) per point instead of O(n^2 k). `group_pass` and `conditional_checks`
-share each step to E_ij: W (`PairSpec.project`), the simplex's |x|^2 (`_vertex_norm2`), the
-sums s (`_moment_sums`) and E = (4/n)(s - I) (`_e_from_sums`). Only `conditional_checks` lists
+read the blocks `bodies.blocks` draws (the simplex's gamma) and share each step to E_ij: W
+(`PairSpec.project`), the simplex's |x|^2 (`_vertex_norm2`), the sums s (`_moment_sums`) and
+E = (4/n)(s - I) (`_e_from_sums`). Only `conditional_checks` lists
 the moves, to check them: every reflection, and each transposition once (a < b), since both
 summands are even in (a, b).
 """
@@ -126,13 +127,14 @@ class ConditionalResiduals:
 
 
 def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
-    """Verify the conditional identities at one point (n,) or a batch (c, n).
+    """Verify the conditional identities at one block row (m,) or a block (c, m) of `blocks`.
 
-    Averages the increment (and its outer square) exactly over all n
-    reflection indices, or all vertex transpositions, and compares against
-    -lambda W and 2 lambda I + E_ij(x), with W and E_ij from the steps of `group_pass`,
-    run on the block the pass would read: x, or the simplex's gamma = x V^T. The
-    enumeration (`_enumerated_moments`) visits each transposition once. x is not changed.
+    x is a block as the pass reads it: a product body's points, or the simplex's vertex
+    coordinates gamma = x V^T (c, n+1). Averages the increment (and its outer square)
+    exactly over all n reflection indices, or all vertex transpositions, and compares
+    against -lambda W and 2 lambda I + E_ij(x), with W and E_ij from the steps of
+    `group_pass`. The enumeration (`_enumerated_moments`) visits each transposition
+    once. x is not changed.
 
     Each residual is the worst over the batch: the largest entry of any
     point, NaN if any point gives NaN, and 0 for a batch of no points. The
@@ -141,18 +143,17 @@ def conditional_checks(x: np.ndarray, spec: PairSpec) -> ConditionalResiduals:
     O(c (n + k*k)) for the simplex, so `check_pairs` passes a block in tiles.
     """
     x = np.asarray(x, dtype=np.float64)
-    k, n = spec.k, spec.n
-    pts = np.atleast_2d(x)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError(f"x must be one point ({n},) or a batch (c, {n}), got shape {x.shape}")
+    k, m = spec.k, spec.body.m
     simplex = spec.body.kind == "simplex"
-    coords = pts @ spec.body.geom.vertices.T if simplex else pts  # read by both sides
+    coords = np.atleast_2d(x)
+    if coords.ndim != 2 or coords.shape[1] != m:
+        raise ValueError(f"x must be one point ({m},) or a batch (c, {m}) (for the simplex, "
+                         f"its vertex coordinates gamma = x V^T), got shape {x.shape}")
     w = spec.project(coords)
     lin_enum, sec_enum = _enumerated_moments(spec, coords)
     norm2 = _vertex_norm2(coords) if simplex else None
-    # Squared as the pass squares its block, but a product body's coords are x itself.
-    sq = np.square(coords, out=coords if simplex else None)
-    e_closed = _e_from_sums(spec, _moment_sums(spec, sq, w, norm2)).reshape(len(pts), k, k)
+    sq = np.square(coords)  # squared as the pass squares its block, but into a new array
+    e_closed = _e_from_sums(spec, _moment_sums(spec, sq, w, norm2)).reshape(len(coords), k, k)
     lin_res = np.max(np.abs(lin_enum + spec.lam * w), initial=0.0)
     sec_res = np.max(np.abs(sec_enum - (2.0 * spec.lam * np.eye(k) + e_closed)), initial=0.0)
     return ConditionalResiduals(float(lin_res), float(sec_res))
@@ -163,7 +164,7 @@ def _enumerated_moments(spec: PairSpec, coords: np.ndarray) -> tuple[np.ndarray,
 
     `coords` is the block as the pass reads it, and is not changed. A product
     body's coords are the points, and its n reflections are formed at once as
-    (k, c, n) increments. The simplex's are the vertex coordinates gamma = x V^T
+    (k, c, n) increments. The simplex's are the vertex coordinates gamma
     (c, n+1), and it lists each transposition (a, b), a < b, once, one vertex a
     at a time (`_vertex_sums`): both summands are even in (a, b), so the sums
     over ordered pairs are twice these.
@@ -201,11 +202,11 @@ def check_pairs(spec: PairSpec, count: int, stream: RandomStream) -> Conditional
     """`conditional_checks` on the first `count` points of `stream`, a block at a time.
 
     The blocks (`bodies.blocks`) are split over the CPUs (`_split`), each
-    range drawn into one buffer of its own; each block is checked in tiles
-    that fit in its 1 MiB: a product tile's (c, k, n) reflection increments, a
-    simplex tile's (c, n+1) gamma and one vertex's (c, n+1) differences, and
-    its (c, k*k) sums. A residual is the worst over all points, NaN if any
-    point gives NaN.
+    range drawn into one buffer of its own: the very rows (the simplex's gamma)
+    that `group_pass` projects. Each block is checked in tiles that fit in its
+    1 MiB: a product tile's (c, k, n) reflection increments, a simplex tile's
+    (c, n+1) squares and one vertex's (c, n) differences, and its (c, k*k)
+    sums. A residual is the worst over all points, NaN if any point gives NaN.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -412,7 +413,7 @@ def group_pass(
         """Draw the blocks of rows lo..hi and write every spec's W and pair terms."""
         sums = {k: np.empty((t, k * k)) for k, t in tiles.items()}
         # A block's points, or gamma for the simplex; the next block overwrites them.
-        for start, pts in blocks(body, stream, lo, hi, vertex_coords=simplex):
+        for start, pts in blocks(body, stream, lo, hi):
             for row in rows:
                 row.project_block(pts, slice(start, start + len(pts)))
             if not pairs:

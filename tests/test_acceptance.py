@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 from margauss.bodies import (
     BodySpec,
+    blocks,
     klartag_variance_check,
     regular_simplex,
     sample_body,
@@ -71,7 +72,9 @@ def test_criterion_1_exact_stein_conditions():
                 body = BodySpec(kind, n)
                 frame = haar_frame(n, k, substream(101, n * 10 + k))
                 spec = PairSpec(body=body, frame=frame)
-                pts = sample_body(body, substream(102, n * 10 + k), 100).points
+                # The check reads blocks as the pass does: the simplex's in vertex coordinates.
+                stream = substream(102, n * 10 + k)
+                pts = np.concatenate([rows.copy() for _, rows in blocks(body, stream, 0, 100)])
                 for x in pts:
                     res = conditional_checks(x, spec)
                     worst = max(worst, res.linearity_residual, res.second_moment_residual)

@@ -312,9 +312,10 @@ def test_points_depend_on_their_position_alone(kind, monkeypatch):
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 80)
     spec = parse_body_kind(kind, 8)
     assert spec.block == 8
-    whole = sample_body(spec, substream(40, 2), 37).points
-    assert np.array_equal(sample_body(spec, substream(40, 2), 5).points, whole[:5])
-    assert np.array_equal(_rows(spec, substream(40, 2), 0, 37), whole)
+    whole = _rows(spec, substream(40, 2), 0, 37)  # the simplex's vertex coordinates
+    points = sample_body(spec, substream(40, 2), 37).points
+    assert np.array_equal(sample_body(spec, substream(40, 2), 5).points, points[:5])
+    assert np.array_equal(bodies.to_points(spec, whole), points)
     starts = [start for start, _ in bodies.blocks(spec, substream(40, 2), 24, 37)]
     assert starts == [24, 32]
     assert np.array_equal(_rows(spec, substream(40, 2), 24, 37), whole[24:])
@@ -325,32 +326,43 @@ def test_points_depend_on_their_position_alone(kind, monkeypatch):
     assert np.array_equal(_rows(spec, stream, 24, 37), whole[24:])
 
 
-def test_blocks_reject_an_offset_start_and_vertex_coords_off_the_simplex(monkeypatch):
+def test_blocks_reject_an_offset_start(monkeypatch):
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 80)  # blocks of 8 points at n = 8
     with pytest.raises(ValueError, match="multiple of the block 8"):
         next(bodies.blocks(BodySpec("product-uniform", 8), substream(41, 0), 4, 16))
-    with pytest.raises(ValueError, match="vertex coordinates need the simplex"):
-        next(bodies.blocks(BodySpec("product-gaussian", 8), substream(41, 0), 0, 16,
-                           vertex_coords=True))
     for lo, hi in ((8, 8), (16, 8), (0, 0), (0, -3)):
         assert list(bodies.blocks(BodySpec("simplex", 8), substream(41, 0), lo, hi)) == []
+
+
+def cartesian_simplex_points(spec, stream, count):
+    """The first `count` uniform simplex points of `stream`, made in Cartesian coordinates:
+    block b's Dirichlet weights w, normalized exponentials from stream.block(b), give
+    x = scale * (w @ V). A reference that shares no step with `simplex_vertex_coords`."""
+    geom, block, pts = spec.geom, spec.block, []
+    for b in range(-(-count // block)):
+        w = stream.block(b).exponential((block, spec.n + 1))
+        w /= w.sum(axis=1, keepdims=True)
+        pts.append(geom.scale * (w @ geom.vertices))
+    return np.concatenate(pts)[:count]
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_vertex_coords_are_the_sampled_points_in_vertex_coordinates(n, monkeypatch):
     # The sweep's simplex pass reads gamma_a = <v_a, x>; these must be the
-    # coordinates of the very points `sample_body` draws, block by block.
+    # coordinates of uniform simplex points x, block by block, and `to_points`
+    # must give the points back.
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 40 * (n + 1))  # blocks of 40 points
     spec = BodySpec("simplex", n)
     assert spec.block == 40
     count = 3 * spec.block + 7
-    pts = sample_body(spec, substream(42, n), count).points
-    gamma = [(start, g.copy())
-             for start, g in bodies.blocks(spec, substream(42, n), 0, count, vertex_coords=True)]
+    x = cartesian_simplex_points(spec, substream(42, n), count)
+    gamma = [(start, g.copy()) for start, g in bodies.blocks(spec, substream(42, n), 0, count)]
     assert [start for start, _ in gamma] == [0, 40, 80, 120]
     gamma = np.concatenate([g for _, g in gamma])
     assert gamma.shape == (count, n + 1)
-    assert np.max(np.abs(gamma - pts @ spec.geom.vertices.T)) < 1e-12
+    assert np.max(np.abs(gamma - x @ spec.geom.vertices.T)) < 1e-12
+    assert np.max(np.abs(bodies.to_points(spec, gamma) - x)) < 1e-12
+    assert np.max(np.abs(sample_body(spec, substream(42, n), count).points - x)) < 1e-12
 
 
 def test_only_bodies_applies_the_block_rule():
@@ -370,6 +382,24 @@ def test_only_bodies_applies_the_block_rule():
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls and all(call.startswith("bodies.py:") for call in calls), calls
     assert named == []
+
+
+def test_only_bodies_reads_the_simplex_vertices():
+    # The simplex is drawn, and read by every pass, in vertex coordinates alone;
+    # `bodies` owns the vertices and the one draw, so no other module reads them
+    # and the Cartesian draw's names are gone.
+    src = Path(bodies.__file__).parent
+    reads, names = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "vertices"
+                    and path.name != "bodies.py"):
+                reads.append(f"{path.name}:{node.lineno}")
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "arg", None) or getattr(node, "name", None))
+            if name in ("vertex_coords", "_simplex_weights"):
+                names.append(f"{path.name}:{node.lineno}")
+    assert not reads and not names, (reads, names)
 
 
 @pytest.mark.parametrize("n, block", [(1, 131_072), (16, 8_192), (1023, 128), (1024, 128),

@@ -154,8 +154,9 @@ def test_verify_pair_output_does_not_depend_on_core_count(body, capsys, monkeypa
     for out, tiles in runs[1:]:
         assert out == runs[0][0]
         assert tiles == runs[0][1]
-    spec = bodies.parse_body_kind(body, 8)
-    assert np.array_equal(points, bodies.sample_body(spec, row_stream(6, 0, "points"), 10).points)
+    spec = bodies.parse_body_kind(body, 8)  # points holds the simplex's vertex coordinates
+    assert np.array_equal(bodies.to_points(spec, points),
+                          bodies.sample_body(spec, row_stream(6, 0, "points"), 10).points)
 
 
 def test_verify_pair_worker_error_reaches_the_caller(monkeypatch):
@@ -369,7 +370,9 @@ def test_subcommands_follow_the_stream_map(tmp_path, capsys, monkeypatch, body):
         assert np.array_equal(rows, built[-1])
     points = np.loadtxt(out, delimiter=",")
     assert points.shape == (count, n)
-    assert np.array_equal(np.concatenate(checked), points[:5])
+    # The check reads the simplex's vertex coordinates, `sample` their points.
+    spec = bodies.parse_body_kind(body, n)
+    assert np.array_equal(bodies.to_points(spec, np.concatenate(checked)), points[:5])
     distance_w, row_w = projected
     assert np.array_equal(distance_w, row_w)
     w = points @ built[-1].T

@@ -280,20 +280,14 @@ def test_metrics_sample_stitched_across_chunks():
 ])
 def test_row_draws_each_body_element_once(body, n, ks, frames, monkeypatch):
     drawn = []
+    draw = bodies._draw_block
 
-    def counting(fn, count_of):
-        def wrapped(spec_or_geom, stream, out):
-            fn(spec_or_geom, stream, out)
-            drawn.append(count_of(out))
-            return out
+    def counting(spec, stream, out):
+        draw(spec, stream, out)
+        drawn.append(len(out) * n)  # gamma has n+1 vertex coordinates per n-dimensional point
 
-        return wrapped
-
-    # `bodies.blocks` draws every block of a pass through one of these two.
-    monkeypatch.setattr(bodies, "_draw_block", counting(bodies._draw_block, np.size))
-    # gamma has n+1 vertex coordinates per n-dimensional point.
-    monkeypatch.setattr(bodies, "simplex_vertex_coords",
-                        counting(bodies.simplex_vertex_coords, lambda g: g.shape[0] * n))
+    # `bodies.blocks` draws every block of a pass through this one.
+    monkeypatch.setattr(bodies, "_draw_block", counting)
     count = 20_000
     config = small_config(bodies=(body,), ns=(n,), ks=ks, frames=frames, samples=count)
     rows = run_experiment(config)

@@ -43,6 +43,12 @@ def make_spec(kind, n, k, seed=0, frame_kind="haar"):
     return PairSpec(body=body, frame=frame)
 
 
+def block_rows(body, stream, count):
+    """The first `count` rows of `stream` as a pass reads them (`bodies.blocks`): a
+    product body's points, or the simplex's vertex coordinates gamma."""
+    return np.concatenate([rows.copy() for _, rows in bodies.blocks(body, stream, 0, count)])
+
+
 def test_reflect_pair_hand_example():
     frame = Frame(np.array([[1.0, 1.0]]) / math.sqrt(2.0))
     w, wp = reflect_pair(np.array([1.0, 2.0]), 0, frame)
@@ -124,7 +130,7 @@ def test_pair_spec_validation():
 @pytest.mark.parametrize("n,k", [(16, 3), (8, 2), (8, 6)])  # (8, 6): k*k > 2 (n + 1)
 def test_conditional_checks_exact(kind, n, k):
     spec = make_spec(kind, n, k, seed=n * 7 + k)
-    pts = sample_body(spec.body, substream(43, n + k), 25).points
+    pts = block_rows(spec.body, substream(43, n + k), 25)
     for x in pts:
         res = conditional_checks(x, spec)
         assert res.linearity_residual < RESIDUAL_TOL
@@ -139,7 +145,7 @@ def test_checks_and_pair_terms_share_one_closed_form(kind, monkeypatch):
     # check covers the code behind bound_*_cor.
     n, k, eps = 16, 2, 1e-3
     spec = make_spec(kind, n, k, seed=63)
-    pts = sample_body(spec.body, substream(64, n), 25).points
+    pts = block_rows(spec.body, substream(64, n), 25)
 
     def pass_w():
         return row_pass(spec, 10_000, substream(65, n))[0]
@@ -173,9 +179,9 @@ def test_checks_and_pair_terms_share_one_closed_form(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["product-uniform", "simplex"])
 def test_conditional_checks_leave_their_input_unchanged(kind):
-    # The closed form squares the block it reads; a product body's block is x itself.
+    # The closed form squares the block it reads, which is x itself.
     spec = make_spec(kind, 8, 2, seed=66)
-    pts = sample_body(spec.body, substream(67, 8), 5).points
+    pts = block_rows(spec.body, substream(67, 8), 5)
     before = pts.copy()
     for x in (pts[2], pts):
         conditional_checks(x, spec)
@@ -250,7 +256,7 @@ def test_simplex_check_visits_each_vertex_pair_once(monkeypatch):
     # ordered ones: a count of the pairs each vertex adds, not a timing.
     n = 16
     spec = make_spec("simplex", n, 2, seed=3)
-    pts = sample_body(spec.body, substream(51, n), 5).points
+    pts = block_rows(spec.body, substream(51, n), 5)
     vertex_sums, widths = stein._vertex_sums, []
 
     def counted(dg, da, lin_sum, sec_sum):
@@ -270,8 +276,7 @@ BATCH_BODIES = ["product-uniform", "lp-ball(1.5)", "simplex"]
 def batch_spec_and_points(label, k, n=16, count=25):
     body = parse_body_kind(label, n)
     spec = PairSpec(body=body, frame=haar_frame(n, k, substream(45, 7)))
-    pts = sample_body(body, substream(46, n), count).points
-    return spec, pts
+    return spec, block_rows(body, substream(46, n), count)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -284,9 +289,10 @@ def test_batched_checks_report_the_worst_point(label, k, monkeypatch):
 
     # A wrong lambda leaves |delta lambda| |W_ci| at each point and index; the
     # batch must report the largest, here on the last point.
-    worst = int(np.argmax(np.max(np.abs(project(spec.frame, pts)), axis=1)))
+    w = project(spec.frame, bodies.to_points(spec.body, pts))  # theta . x, from the points
+    worst = int(np.argmax(np.max(np.abs(w), axis=1)))
     pts[[worst, -1]] = pts[[-1, worst]]
-    w_max = float(np.max(np.abs(project(spec.frame, pts[-1]))))
+    w_max = float(np.max(np.abs(w[worst])))
     true_lam = spec.lam
     monkeypatch.setattr(PairSpec, "lam", property(lambda self: true_lam + 0.5))
     res = conditional_checks(pts, spec)
@@ -301,7 +307,11 @@ def test_batched_checks_edge_cases(label, k):
     assert empty.linearity_residual == 0.0 and empty.second_moment_residual == 0.0
     assert conditional_checks(pts[3], spec) == conditional_checks(pts[3:4], spec)
     with pytest.raises(ValueError, match="one point"):
-        conditional_checks(pts.ravel()[:32], spec)  # two points' worth, flattened
+        conditional_checks(pts.ravel()[:2 * pts.shape[1]], spec)  # two points' worth, flattened
+    if spec.body.kind == "simplex":  # points, where the check reads their vertex coordinates
+        with pytest.raises(ValueError, match=r"\(c, 17\) \(for the simplex, its vertex "
+                                             r"coordinates gamma = x V\^T\), got shape \(25, 16\)"):
+            conditional_checks(bodies.to_points(spec.body, pts), spec)
     pts[12] = np.nan  # a point in the middle of the batch
     res = conditional_checks(pts, spec)
     assert math.isnan(res.linearity_residual) and math.isnan(res.second_moment_residual)
@@ -534,7 +544,16 @@ def test_simplex_projected_sample_matches_points(n, k, monkeypatch):
     monkeypatch.setattr(bodies, "_BLOCK_BUDGET", 1_700 * (n + 1))  # three blocks
     spec = make_spec("simplex", n, k, seed=55)
     w, stats = row_pass(spec, 5_000, substream(56, n))
-    pts = sample_body(spec.body, substream(56, n), 5_000).points
+    # The points in Cartesian coordinates, a step the pass never takes: block
+    # b's Dirichlet weights, normalized exponentials from stream.block(b), give
+    # x = scale * (weights @ V).
+    geom, stream = spec.body.geom, substream(56, n)
+    pts = []
+    for b in range(3):
+        weights = stream.block(b).exponential((1_700, n + 1))
+        weights /= weights.sum(axis=1, keepdims=True)
+        pts.append(geom.scale * (weights @ geom.vertices))
+    pts = np.concatenate(pts)[:5_000]
     assert stats is None
     assert np.max(np.abs(w - project(spec.frame, pts))) <= 1e-12
 
