@@ -15,12 +15,14 @@ every run's metrics, and their medians and quartiles. Each run also records
 the CPU seconds its processes took (`cpu_s`, user + system) and the host's
 steal seconds while it ran (`steal_s`, from /proc/stat): a run slower with
 no more CPU time, or with steal, was slowed by the host, not by the code.
-It then prints, for each workload and metric, both medians, the pairs in
-which the after side reads lower and higher (a tie counts for neither), the
-before side's quartile spread, and a verdict (`verdict`), and each side's
-medians of `cpu_s` and `steal_s`. It exits with status 1,
-after writing both files, if any run reads `correct: false` or `failed > 0`,
-and names each such run's workload, side and seed.
+For each workload and metric it compares both medians, the pairs in which
+the after side reads lower and higher (a tie counts for neither), the before
+side's quartile spread, and a verdict (`verdict`). The after side's file
+keeps that table (`compare`) and the before side's tag (`before_tag`); the
+script prints it, with each side's medians of `cpu_s` and `steal_s`. It
+exits with status 1, after writing both files, if any run reads
+`correct: false` or `failed > 0`, and names each such run's workload, side
+and seed.
 """
 
 from __future__ import annotations
@@ -183,6 +185,7 @@ def main(argv=None) -> int:
                       f"cpu_s={run['cpu_s']:.3f} steal_s={run['steal_s']:.3f} "
                       f"correct={run['correct']}", flush=True)
 
+    tables = {w: compare(runs["before"][w], runs["after"][w]) for w in workloads}
     os.makedirs(OUT, exist_ok=True)
     for side, (root, tag) in sides.items():
         commit, diff_sha256 = checkout_state(root)
@@ -200,14 +203,15 @@ def main(argv=None) -> int:
                 for w, rs in runs[side].items()
             },
         }
+        if side == "after":
+            record.update(before_tag=args.before_tag, compare=tables)
         path = os.path.join(OUT, f"BENCH_{tag}.json")
         with open(path, "w") as fh:
             json.dump(record, fh, indent=1)
         print(f"wrote {path}")
 
     for workload in workloads:
-        table = compare(runs["before"][workload], runs["after"][workload])
-        for name, row in table.items():
+        for name, row in tables[workload].items():
             print(f"{workload} {name}: {row['before_median']:.4g} -> {row['after_median']:.4g}, "
                   f"after lower in {row['after_lower']}/{row['pairs']} pairs, "
                   f"higher in {row['after_higher']}, before IQR {row['before_iqr']:.3g}: "

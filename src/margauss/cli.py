@@ -73,12 +73,7 @@ def _cmd_verify_pair(args) -> int:
 def _cmd_bounds(args) -> int:
     constants = ConstantsConfig.from_json(args.constants) if args.constants else ConstantsConfig()
     _, pair = _row0_spec(args)
-    simplex = pair.body.kind == "simplex"
-    fun = frames.frame_functionals(pair.frame, pair.alpha if simplex else None)  # once
-    reports = [stein.theorem_bounds(fun, args.k, constants)]  # thm1, or thm2 for the simplex
-    if simplex and args.k == 1:
-        reports.append(stein.theorem_bounds(fun, args.k, constants, theorem="thm3"))
-    for report in reports:
+    for report in stein.theorem_bounds(pair.functionals, args.k, constants):
         print(_csv([report.source, report.d1_bound, report.dtv_bound, report.d2_bound,
                     *astuple(constants)]))
     return 0

@@ -221,7 +221,15 @@ class ConstantsConfig:
 
     @classmethod
     def from_json(cls, path) -> "ConstantsConfig":
-        import json
+        return cls.from_dict(read_json(path))
 
+
+def read_json(path):
+    """The JSON value in the file at `path`; a file that cannot be read is a ValueError."""
+    import json
+
+    try:
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc

@@ -12,7 +12,6 @@ seed) group draw the body once, together.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -22,8 +21,8 @@ import numpy as np
 
 from . import stein
 from .bodies import BodySpec, parse_body_kind
-from .core import ConstantsConfig, RandomStream, check_seed, substream
-from .frames import build_frame, frame_functionals
+from .core import ConstantsConfig, RandomStream, check_seed, read_json, substream
+from .frames import build_frame
 from .metrics import DistanceEstimate, ks_1d, tv_hist_1d, w1_1d, w1_sliced
 from .stein import (
     PAIR_TERM_MIN_COUNT,
@@ -124,8 +123,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: a config must be a JSON object")
         unknown = set(data) - {f.name for f in fields(cls)}
@@ -281,19 +279,19 @@ def _compute_row(
 ) -> ResultRow:
     """Row idx of the sweep from its PairSpec and its share of the group pass, (w, stats).
 
-    The row's frame functionals (computed once, from the spec's vertex
-    products for the simplex) and the theorem bounds read from them, the
-    corollary bounds from `stats` (a note when it is None, at N < 10^4) and
-    the distances of `w`. Warnings go to `notes`, not the log.
+    The row's frame functionals (`spec.functionals`, computed once) and the
+    first of its theorem bounds, the body's main theorem; the first of its
+    corollary bounds, cor-wass-tv, from `stats` (a note when it is None, at
+    N < 10^4); and the distances of `w`. Warnings go to `notes`, not the log.
     """
-    fun = frame_functionals(spec.frame, spec.alpha if spec.body.kind == "simplex" else None)
-    thm = theorem_bounds(fun, k, config.constants)
+    fun = spec.functionals
+    thm = theorem_bounds(fun, k, config.constants)[0]
     bound_d1_cor = bound_dtv_cor = None
     if stats is None:
         notes.append(("skipping semi-empirical bounds for body=%s n=%d k=%d: samples=%d < 10^4",
                       body_kind, n, k, config.samples))
     else:
-        cor = corollary_bounds(stats, config.constants)
+        cor = corollary_bounds(stats, config.constants)[0]
         bound_d1_cor, bound_dtv_cor = cor.d1_bound, cor.dtv_bound
 
     emp = {}

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bodies import BodySpec, SimplexGeometry, blocks
 from .core import ConstantsConfig, RandomStream, _split, batch_mean_se, batch_var_se
-from .frames import Frame, FrameFunctionals, project
+from .frames import Frame, FrameFunctionals, frame_functionals, project
 
 BOUND_SOURCES = (
     "thm1",
@@ -84,6 +84,12 @@ class PairSpec:
         """theta (k, n) for a product body; alpha_ia = <theta_i, v_a> (k, n+1) for the simplex."""
         rows = self.frame.rows
         return self.body.geom.vertex_products(rows) if self.body.kind == "simplex" else rows
+
+    @cached_property
+    def functionals(self) -> FrameFunctionals:
+        """The frame functionals that `theorem_bounds` reads, computed once per spec; for the
+        simplex, its entries come from the vertex products `alpha`."""
+        return frame_functionals(self.frame, self.alpha if self.body.kind == "simplex" else None)
 
     @cached_property
     def products(self) -> np.ndarray:
@@ -459,73 +465,54 @@ class BoundReport:
 
 
 def theorem_bounds(
-    fun: FrameFunctionals,
-    k: int,
-    constants: Optional[ConstantsConfig] = None,
-    theorem: Optional[str] = None,
-) -> BoundReport:
-    """Closed-form bounds of a k-dimensional marginal from its frame functionals alone.
+    fun: FrameFunctionals, k: int, constants: Optional[ConstantsConfig] = None
+) -> list[BoundReport]:
+    """Every closed-form bound of a k-dimensional marginal, from its frame functionals alone.
 
-    thm1 covers 1-unconditional bodies, thm2 the simplex, and thm3 the sharper
-    k = 1 simplex total-variation bound. When `theorem` is None it is thm2 if
-    `fun` holds the simplex functionals, thm1 otherwise.
+    The body's main theorem comes first: thm1 for 1-unconditional bodies, or
+    thm2 when `fun` holds the simplex functionals, followed by thm3, the
+    sharper total-variation bound, when it holds simplex_cubic (k = 1).
     """
     constants = constants or ConstantsConfig()
-    if theorem is None:
-        theorem = "thm1" if fun.simplex_quartic is None else "thm2"
-    if theorem == "thm1":
-        return BoundReport(
+    if fun.simplex_quartic is None:
+        return [BoundReport(
             source="thm1",
             d1_bound=14.0 * math.sqrt(k * fun.l4_sum),
             dtv_bound=constants.C_tv_multi * k ** (5.0 / 6.0) * fun.l4_sum ** (1.0 / 3.0),
-        )
-    if fun.simplex_quartic is None:
-        raise ValueError(f"{theorem} requires a simplex geometry")
-    if theorem == "thm2":
-        q = fun.simplex_quartic
-        return BoundReport(
-            source="thm2",
-            d1_bound=20.0 * math.sqrt(k * q),
-            dtv_bound=constants.C_tv_multi * k ** (5.0 / 6.0) * q ** (1.0 / 3.0),
-        )
-    if theorem == "thm3":
-        if k != 1:
-            raise ValueError("thm3 applies to one-dimensional marginals only")
-        return BoundReport(
+        )]
+    q = fun.simplex_quartic
+    reports = [BoundReport(
+        source="thm2",
+        d1_bound=20.0 * math.sqrt(k * q),
+        dtv_bound=constants.C_tv_multi * k ** (5.0 / 6.0) * q ** (1.0 / 3.0),
+    )]
+    if fun.simplex_cubic is not None:
+        reports.append(BoundReport(
             source="thm3", dtv_bound=constants.C_tv_simplex1d * math.sqrt(fun.simplex_cubic)
-        )
-    raise ValueError(f"unknown theorem {theorem!r}")
+        ))
+    return reports
 
 
 def corollary_bounds(
-    stats: PairStatistics,
-    constants: Optional[ConstantsConfig] = None,
-    source: str = "cor-wass-tv",
-) -> BoundReport:
-    """Semi-empirical bounds assembled from estimated pair terms.
+    stats: PairStatistics, constants: Optional[ConstantsConfig] = None
+) -> list[BoundReport]:
+    """Every semi-empirical bound assembled from estimated pair terms, in this order.
 
     cor-wass-tv gives d1 and (for log-concave W) C times the cubed-root
-    total-variation combination; cor-tv-univ is the k = 1 total-variation
-    bound using the X-conditioned variance proxy, reported as an upper bound
-    on the W-conditioned quantity; prop-cm-d2 is the smooth-metric bound with
-    unit test-function norms. k and lambda are those of the statistics.
+    total-variation combination; cor-tv-univ, at k = 1 when the statistics
+    hold the X-conditioned variance proxy, is the total-variation bound
+    reported as an upper bound on the W-conditioned quantity; prop-cm-d2 is
+    the smooth-metric bound with unit test-function norms. k and lambda are
+    those of the statistics.
     """
     constants = constants or ConstantsConfig()
     k, lam = stats.k, stats.lam
-    if source == "cor-wass-tv":
-        d1 = stats.term_E + k**0.25 * math.sqrt(2.0 * stats.term_M3 / (3.0 * lam))
-        dtv = constants.C_tv_multi * (
-            k * stats.term_E + k**2 * stats.term_M3 / lam
-        ) ** (1.0 / 3.0)
-        return BoundReport(source=source, d1_bound=d1, dtv_bound=dtv)
-    if source == "cor-tv-univ":
-        if k != 1:
-            raise ValueError("cor-tv-univ applies to one-dimensional marginals only")
-        if stats.condvar_proxy is None:
-            raise ValueError("cor-tv-univ needs the conditional-variance proxy")
+    d1 = stats.term_E + k**0.25 * math.sqrt(2.0 * stats.term_M3 / (3.0 * lam))
+    dtv = constants.C_tv_multi * (k * stats.term_E + k**2 * stats.term_M3 / lam) ** (1.0 / 3.0)
+    reports = [BoundReport(source="cor-wass-tv", d1_bound=d1, dtv_bound=dtv)]
+    if k == 1 and stats.condvar_proxy is not None:
         dtv = math.sqrt(stats.condvar_proxy) / lam + 2.0 * math.sqrt(stats.term_M3 / lam)
-        return BoundReport(source=source, dtv_bound=dtv)
-    if source == "prop-cm-d2":
-        d2 = stats.term_E + math.sqrt(2.0 * math.pi) / (24.0 * lam) * stats.term_M3
-        return BoundReport(source=source, d2_bound=d2)
-    raise ValueError(f"no bound formula is emitted for source {source!r}")
+        reports.append(BoundReport(source="cor-tv-univ", dtv_bound=dtv))
+    d2 = stats.term_E + math.sqrt(2.0 * math.pi) / (24.0 * lam) * stats.term_M3
+    reports.append(BoundReport(source="prop-cm-d2", d2_bound=d2))
+    return reports

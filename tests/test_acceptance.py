@@ -184,7 +184,7 @@ def test_criterion_7_proof_chain_inequalities():
             stats = estimate_pair_terms(
                 spec, 100_000, substream(109, n + k), substream(109, 1000 + n + k)
             )
-            fun = frame_functionals(spec.frame)
+            fun = spec.functionals
             ok &= stats.term_E <= 8 * math.sqrt(2) * fun.l4_sum + 3 * stats.term_E_se
             ok &= stats.term_M3 <= (12 * math.sqrt(2) / n) * fun.l3_sum**1.5 + 3 * stats.term_M3_se
 
@@ -194,7 +194,7 @@ def test_criterion_7_proof_chain_inequalities():
             sstats = estimate_pair_terms(
                 sspec, 100_000, substream(111, n + k), substream(111, 1000 + n + k)
             )
-            q = frame_functionals(sspec.frame, sspec.alpha).simplex_quartic
+            q = sspec.functionals.simplex_quartic
             ok &= sstats.term_E <= 8 * math.sqrt(2) * q + 3 * sstats.term_E_se
             ok &= sstats.term_M3 <= (96 * math.sqrt(k) / (n + 1)) * q + 3 * sstats.term_M3_se
             details.append(f"n={n} k={k} ok={ok}")

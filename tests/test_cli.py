@@ -422,6 +422,11 @@ def test_env_seed_must_be_decimal(capsys, monkeypatch):
       "--seed", "-1"], "seed must lie in [0, 2^64), got -1"),
     (["distance", "--metric", "w1", "--body", "product-gaussian", "--n", "8", "--k", "2",
       "--frame", "haar", "--samples", "1", "--seed", "1"], "need at least 100 samples, got 1"),
+    # An input file that cannot be read is a bad argument value too.
+    (["experiment", "--config", "/nonexistent/config.json", "--out", "/nonexistent/rows.csv"],
+     "cannot read /nonexistent/config.json: No such file or directory"),
+    (["bounds", "--body", "simplex", "--n", "8", "--k", "1", "--frame", "haar",
+      "--constants", "."], "cannot read .: Is a directory"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -144,8 +144,8 @@ def test_coordinate_frame_functionals():
 
 
 def test_coordinate_frame_bound_is_vacuous():
-    report = theorem_bounds(frame_functionals(coordinate_frame(5, 1)), 1)
-    assert report.d1_bound == pytest.approx(14.0)
+    [report] = theorem_bounds(frame_functionals(coordinate_frame(5, 1)), 1)
+    assert report.source == "thm1" and report.d1_bound == pytest.approx(14.0)
 
 
 def test_project_examples():

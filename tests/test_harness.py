@@ -393,7 +393,8 @@ def test_row_pair_bounds_match_estimate_pair_terms():
     stats = estimate_pair_terms(
         spec, count, substream(seed, 4 * idx + 2), substream(seed, 4 * idx + 1)
     )
-    cor = corollary_bounds(stats)
+    cor = corollary_bounds(stats)[0]
+    assert cor.source == "cor-wass-tv"
     assert row.n == n
     assert row.bound_d1_cor == cor.d1_bound
     assert row.bound_dtv_cor == cor.dtv_bound

@@ -117,10 +117,19 @@ def test_bench_ab_aggregates_canned_runs(monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
     args = ["--before", "before", "--before-tag", "b", "--after", "after", "--after-tag", "a"]
     assert bench.main(args) == 1
-    assert (tmp_path / "bench" / "BENCH_b.json").exists()
+    before_record = json.loads((tmp_path / "bench" / "BENCH_b.json").read_text())
+    assert "compare" not in before_record and "before_tag" not in before_record
     record = json.loads((tmp_path / "bench" / "BENCH_a.json").read_text())
     runs = [run for w in record["workloads"].values() for run in w["runs"]]
     assert len(runs) == 40 and all((run["cpu_s"], run["steal_s"]) == (1.5, 0.25) for run in runs)
+    # The after side keeps the verdict table of every workload and the before side's tag.
+    assert record["before_tag"] == "b"
+    assert record["compare"] == {
+        w: bench.compare(before_record["workloads"][w]["runs"], record["workloads"][w]["runs"])
+        for w in record["workloads"]}
+    assert record["compare"]["sweep-uniform"]["wall_s"] == {
+        "before_median": 0.7, "after_median": 0.7, "after_lower": 0, "after_higher": 0,
+        "pairs": 10, "before_iqr": 0.0, "verdict": "flat"}
     captured = capsys.readouterr()
     assert "verify-pair host medians: before cpu_s 1.500 steal_s 0.250, after cpu_s 1.500 " \
            "steal_s 0.250" in captured.out.splitlines()

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,7 +352,7 @@ def test_condvar_proxy_only_for_k1():
 def test_proof_chain_product(n, k):
     spec = make_spec("product-uniform", n, k, frame_kind="walsh")
     stats = estimate_pair_terms(spec, 50_000, substream(46, n + k), substream(46, 1000 + n + k))
-    fun = frame_functionals(spec.frame)
+    fun = spec.functionals
     assert stats.term_E <= 8 * math.sqrt(2) * fun.l4_sum + 3 * stats.term_E_se
     m3_bound = (12 * math.sqrt(2) / n) * fun.l3_sum**1.5
     assert stats.term_M3 <= m3_bound + 3 * stats.term_M3_se
@@ -360,34 +362,44 @@ def test_proof_chain_product(n, k):
 def test_proof_chain_simplex(n, k):
     spec = make_spec("simplex", n, k, seed=n + k)
     stats = estimate_pair_terms(spec, 50_000, substream(47, n + k), substream(47, 1000 + n + k))
-    fun = frame_functionals(spec.frame, spec.alpha)
-    q = fun.simplex_quartic
+    q = spec.functionals.simplex_quartic
     assert stats.term_E <= 8 * math.sqrt(2) * q + 3 * stats.term_E_se
     m3_bound = (96 * math.sqrt(k) / (n + 1)) * q
     assert stats.term_M3 <= m3_bound + 3 * stats.term_M3_se
 
 
+def sources(reports) -> list[str]:
+    return [report.source for report in reports]
+
+
+def report_of(reports, source):
+    """The one report of `source` among `reports`."""
+    [report] = [report for report in reports if report.source == source]
+    return report
+
+
 def test_theorem_bound_values():
-    assert theorem_bounds(frame_functionals(walsh_frame(256, 2)), 2).d1_bound == pytest.approx(7.0)
-    assert theorem_bounds(frame_functionals(walsh_frame(64, 1)), 1).d1_bound == pytest.approx(
-        14 * 64**-0.25)
+    [thm1] = theorem_bounds(frame_functionals(walsh_frame(256, 2)), 2)
+    assert thm1.source == "thm1" and thm1.d1_bound == pytest.approx(7.0)
+    [thm1] = theorem_bounds(frame_functionals(walsh_frame(64, 1)), 1)
+    assert thm1.source == "thm1" and thm1.d1_bound == pytest.approx(14 * 64**-0.25)
     geom = regular_simplex(2)
     frame = Frame(np.array([[1.0, 0.0]]))
     fun = frame_functionals(frame, geom.vertex_products(frame.rows))
-    report = theorem_bounds(fun, 1, theorem="thm3")
+    reports = theorem_bounds(fun, 1)
+    assert sources(reports) == ["thm2", "thm3"]
     cubic = fun.simplex_cubic
-    assert report.dtv_bound == pytest.approx(math.sqrt(cubic))
-    with pytest.raises(ValueError):
-        theorem_bounds(frame_functionals(walsh_frame(4, 2)), 2, theorem="thm3")
-    with pytest.raises(ValueError):
-        theorem_bounds(frame_functionals(Frame(np.eye(2)), geom.vertex_products(np.eye(2))), 2,
-                       theorem="thm3")
+    assert reports[1].dtv_bound == pytest.approx(math.sqrt(cubic))
+    # thm3 applies to the simplex at k = 1 only.
+    assert sources(theorem_bounds(frame_functionals(walsh_frame(4, 2)), 2)) == ["thm1"]
+    fun2 = frame_functionals(Frame(np.eye(2)), geom.vertex_products(np.eye(2)))
+    assert sources(theorem_bounds(fun2, 2)) == ["thm2"]
 
 
 def test_theorem_bounds_scale_with_constants():
     constants = ConstantsConfig(C_tv_multi=3.0)
-    base = theorem_bounds(frame_functionals(walsh_frame(64, 2)), 2)
-    scaled = theorem_bounds(frame_functionals(walsh_frame(64, 2)), 2, constants=constants)
+    [base] = theorem_bounds(frame_functionals(walsh_frame(64, 2)), 2)
+    [scaled] = theorem_bounds(frame_functionals(walsh_frame(64, 2)), 2, constants=constants)
     assert scaled.dtv_bound == pytest.approx(3.0 * base.dtv_bound)
     assert scaled.d1_bound == pytest.approx(base.d1_bound)
 
@@ -411,7 +423,8 @@ def test_corollary_formula_substitution():
     a, b, n = 0.3, 0.02, 50
     lam = 2.0 / n
     stats = synthetic_stats(a, b, 1, n)
-    report = corollary_bounds(stats)
+    report = corollary_bounds(stats)[0]
+    assert report.source == "cor-wass-tv"
     assert report.d1_bound == pytest.approx(a + math.sqrt(2 * b / (3 * lam)))
     assert report.dtv_bound == pytest.approx((a + b / lam) ** (1 / 3))
 
@@ -420,20 +433,21 @@ def test_corollary_tv_univ_formula_and_guards():
     n = 50
     lam = 2.0 / n
     stats = synthetic_stats(0.3, 0.02, 1, n, condvar=0.0004)
-    report = corollary_bounds(stats, source="cor-tv-univ")
-    assert report.dtv_bound == pytest.approx(math.sqrt(0.0004) / lam + 2 * math.sqrt(0.02 / lam))
-    stats2 = synthetic_stats(0.3, 0.02, 2, n)
-    with pytest.raises(ValueError):
-        corollary_bounds(stats2, source="cor-tv-univ")
-    with pytest.raises(ValueError):
-        corollary_bounds(stats, source="prop-stein")
+    reports = corollary_bounds(stats)
+    assert sources(reports) == ["cor-wass-tv", "cor-tv-univ", "prop-cm-d2"]
+    assert reports[1].dtv_bound == pytest.approx(
+        math.sqrt(0.0004) / lam + 2 * math.sqrt(0.02 / lam))
+    # cor-tv-univ applies at k = 1 only, and only with the proxy.
+    for stats2 in (synthetic_stats(0.3, 0.02, 2, n), synthetic_stats(0.3, 0.02, 2, n, 0.0004),
+                   synthetic_stats(0.3, 0.02, 1, n)):
+        assert sources(corollary_bounds(stats2)) == ["cor-wass-tv", "prop-cm-d2"]
 
 
 def test_prop_cm_d2_formula():
     n = 40
     lam = 2.0 / n
     stats = synthetic_stats(0.5, 0.01, 2, n)
-    report = corollary_bounds(stats, source="prop-cm-d2")
+    report = report_of(corollary_bounds(stats), "prop-cm-d2")
     assert report.d2_bound == pytest.approx(0.5 + math.sqrt(2 * math.pi) / (24 * lam) * 0.01)
 
 
@@ -442,7 +456,7 @@ def test_gaussian_sanity_bound_positive():
         body=BodySpec("product-gaussian", 32), frame=haar_frame(32, 2, substream(48, 0))
     )
     stats = estimate_pair_terms(spec, 20_000, substream(48, 1), substream(48, 1001))
-    report = corollary_bounds(stats)
+    report = corollary_bounds(stats)[0]
     assert np.isfinite(report.d1_bound) and report.d1_bound > 0
 
 
@@ -450,9 +464,8 @@ def test_gaussian_sanity_bound_positive():
 def test_corollary_below_theorem_d1(kind, frame_kind):
     spec = make_spec(kind, 64, 2, seed=5, frame_kind=frame_kind)
     stats = estimate_pair_terms(spec, 50_000, substream(49, 0), substream(49, 1000))
-    cor = corollary_bounds(stats)
-    vertex_products = spec.alpha if kind == "simplex" else None
-    thm = theorem_bounds(frame_functionals(spec.frame, vertex_products), spec.k)
+    cor = corollary_bounds(stats)[0]
+    thm = theorem_bounds(spec.functionals, spec.k)[0]
     assert cor.d1_bound <= thm.d1_bound * (1 + 3 * stats.term_E_se / max(stats.term_E, 1e-12))
 
 
@@ -462,11 +475,33 @@ def test_tv_univ_bound_decreases_with_dimension():
     for n in (50, 100, 200):
         spec = make_spec("simplex", n, 1, seed=n)
         stats = estimate_pair_terms(spec, 20_000, substream(50, n), substream(50, 1000 + n))
-        report = corollary_bounds(stats, source="cor-tv-univ")
+        report = report_of(corollary_bounds(stats), "cor-tv-univ")
         values.append(report.dtv_bound)
         ses.append(stats.term_M3_se + (stats.condvar_proxy_se or 0.0))
     assert values[1] < values[0] + 3 * (ses[0] + ses[1])
     assert values[2] < values[1] + 3 * (ses[1] + ses[2])
+
+
+def test_only_stein_chooses_the_bounds():
+    # `stein` owns which bounds apply to a marginal: `PairSpec.functionals`
+    # reads the simplex's vertex products, and `theorem_bounds` and
+    # `corollary_bounds` return every bound that applies, so no caller tests
+    # the body kind or asks for one bound by name.
+    src = Path(stein.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (path.name in ("harness.py", "cli.py") and isinstance(node, ast.Compare)
+                    and any(isinstance(op, ast.Constant) and op.value == "simplex"
+                            for op in (node.left, *node.comparators))):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if (name in ("theorem_bounds", "corollary_bounds")
+                        and any(kw.arg in ("theorem", "source") for kw in node.keywords)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_bound_report_validation():
